@@ -8,16 +8,14 @@ module; all randomness is seeded for byte-stable behavior.
 
 from __future__ import annotations
 
-import io
-import json
 import math
-from contextlib import redirect_stdout
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import models, weyl
-from .admissibility import NoSolution, classify_rank_one, solve_homogeneous_R
+from .admissibility import (NoSolution, UniqueSolution, classify_rank_one,
+                            solve_homogeneous_R)
 from .spectra_scattering import (RealizationSpec, is_homogeneous_realization,
                                  is_nonnegative_realization, s_matrix,
                                  spectrum_ladder)
@@ -45,20 +43,13 @@ def _random_nonreal_z(rng, half_plane: bool = False) -> complex:
 
 
 def criterion_1() -> CriterionResult:
-    """Zero-range model: solve-r returns R = diag(1/2, -1/2) to 1e-10."""
-    from .cli import run
-
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = run(["solve-r", "--kind", models.KIND_ONE_DIM])
-    payload = json.loads(buf.getvalue())
-    out = payload["output"]
-    ok = code == 0 and out["tag"] == "Unique"
-    detail = f"exit={code} tag={out.get('tag')}"
+    """Zero-range model: the R solver gives diag(1/2, -1/2) to 1e-10."""
+    spec = models.build_one_dim_model()
+    sol = solve_homogeneous_R(spec.family, spec.gram)
+    ok = isinstance(sol, UniqueSolution)
+    detail = f"tag={sol.tag}"
     if ok:
-        got = np.array([[complex(*e) for e in row] for row in out["R"]])
-        expected = np.diag([0.5, -0.5]).astype(complex)
-        err = float(np.abs(got - expected).max())
+        err = float(np.abs(sol.matrix - np.diag([0.5, -0.5])).max())
         ok = err <= 1e-10
         detail = f"max entry error {err:.3e} (tol 1e-10)"
     return CriterionResult(1, "zero-range solve-r gives diag(1/2, -1/2)", ok, detail)

@@ -32,10 +32,8 @@ from typing import Mapping
 import numpy as np
 
 from .jsonio import encode_complex, encode_matrix
-from .symmetry import SymmetryFamily
+from .symmetry import DEFAULT_TOL, SymmetryFamily
 from .triplet import as_matrix
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)

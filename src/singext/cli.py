@@ -1,15 +1,18 @@
 """Batch command-line surface with reproducible JSON/CSV output.
 
-Subcommands: model list | model info | solve-r | classify | weyl |
-spectrum | nonneg | smatrix | ladder | sweep | verify.  Every command
-but ``sweep`` prints one JSON envelope {command, inputs, output,
-provenance} to stdout; ``sweep`` prints CSV rows.  Complex scalars are
-passed as "re,im"; matrices as JSON files or inline JSON (nesting depth
-2 for real entries, 3 for [re,im] pairs); outputs always use [re,im]
-pairs.  Exit codes: 0 success, 1 verification mismatch, 2 input or
-validation error, 3 mathematical failure (no unique solution where one
-is required, or a singular matrix at the requested point), 64 unknown
-subcommand.
+One argparse tree: a subparser per command (model list | model info |
+solve-r | classify | weyl | spectrum | nonneg | smatrix | ladder | sweep
+| verify), each bound to its handler, with the model flags and the
+solver ``--tol`` shared through parent parsers.  Run it as ``singext``
+or ``python -m singext``; ``singext <command> -h`` lists a command's
+flags.  Every command but ``sweep`` prints one JSON envelope {command,
+inputs, output, provenance} to stdout; ``sweep`` prints CSV rows.
+Complex scalars are passed as "re,im"; matrices as JSON files or inline
+JSON (nesting depth 2 for real entries, 3 for [re,im] pairs); outputs
+always use [re,im] pairs.  Exit codes: 0 success, 1 verification
+mismatch, 2 input or validation error, 3 mathematical failure (no unique
+solution where one is required, or a singular matrix at the requested
+point), 64 unknown subcommand.
 """
 
 from __future__ import annotations
@@ -32,27 +35,9 @@ from .spectra_scattering import (S_MATRIX_PROVENANCE_NOTE, RealizationSpec,
                                  is_homogeneous_realization,
                                  is_nonnegative_realization, s_matrix,
                                  spectrum_ladder)
+from .symmetry import DEFAULT_TOL
 from .triplet import AdmissibleMatrix, CouplingMatrix
 from .weyl import find_negative_eigenvalues, weyl_m
-
-USAGE = """usage: singext <command> [options]
-
-commands:
-  model list            enumerate model kinds
-  model info            family, flags and Gram samples of one model
-  solve-r               solve the homogeneity system for R
-  classify              rank-one trichotomy for an n=1 model
-  weyl                  Weyl matrix M(z) of a model
-  spectrum              negative-axis eigenvalues of a realization
-  nonneg                nonnegativity criterion for a realization
-  smatrix               scattering matrix S(z) for a coupling matrix
-  ladder                geometric spectrum ladder
-  sweep                 CSV sweep of a scalar coupling
-  verify                run the reference-value verification suite
-
-Tolerance defaults: family/solver checks 1e-10, Hermiticity 1e-12
-(relative), unitarity 1e-12; see --help of each command.
-"""
 
 
 class _MathFailure(Exception):
@@ -78,33 +63,18 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 
 def _model_from_args(args) -> models.ModelSpec:
-    if getattr(args, "model", None):
+    if args.model:
         return models.model_from_json(_load_json_arg(args.model))
-    kind = getattr(args, "kind", None)
-    if kind is None:
+    if args.kind is None:
         raise ValueError("provide --model JSON or --kind with its parameters")
-    obj = {"kind": kind}
+    obj = {"kind": args.kind}
     for key in ("d", "p", "alpha", "n"):
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             obj[key] = value
-    if getattr(args, "m_gram", None):
+    if args.m_gram:
         obj["m_gram"] = _load_json_arg(args.m_gram)
     return models.model_from_json(obj)
-
-
-def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", help="model spec as inline JSON or a file path")
-    parser.add_argument("--kind", choices=sorted(models.MODEL_SUMMARIES),
-                        help="model kind (alternative to --model)")
-    parser.add_argument("--d", type=int, help="dimension for PointInteractionRd")
-    parser.add_argument("--p", type=int, help="prime for PAdicVladimirov")
-    parser.add_argument("--alpha", type=float,
-                        help="exponent for PAdicVladimirov / ScalingInvariant3D")
-    parser.add_argument("--n", type=int,
-                        help="channel count for ScalingInvariant3D")
-    parser.add_argument("--m-gram", dest="m_gram",
-                        help="channel Gram matrix for ScalingInvariant3D")
 
 
 def _solve_unique_r(spec: models.ModelSpec, tol: float) -> np.ndarray:
@@ -121,11 +91,7 @@ def _emit(command: str, inputs: dict, output, provenance: list[str]) -> None:
     print(json.dumps(envelope, sort_keys=True))
 
 
-def _cmd_model(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="singext model")
-    parser.add_argument("action", choices=["list", "info"])
-    _add_model_arguments(parser)
-    args = parser.parse_args(argv)
+def _cmd_model(args) -> int:
     if args.action == "list":
         out = [{"kind": kind, "summary": models.MODEL_SUMMARIES[kind]}
                for kind in sorted(models.MODEL_SUMMARIES)]
@@ -138,12 +104,7 @@ def _cmd_model(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_solve_r(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="singext solve-r")
-    _add_model_arguments(parser)
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="solver tolerance (default 1e-10)")
-    args = parser.parse_args(argv)
+def _cmd_solve_r(args) -> int:
     spec = _model_from_args(args)
     sol = solve_homogeneous_R(spec.family, spec.gram, args.tol)
     _emit("solve-r", {"kind": spec.kind, "params": dict(spec.params),
@@ -152,12 +113,7 @@ def _cmd_solve_r(argv: list[str]) -> int:
     return 3 if isinstance(sol, NoSolution) else 0
 
 
-def _cmd_classify(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="singext classify")
-    _add_model_arguments(parser)
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="solver tolerance (default 1e-10)")
-    args = parser.parse_args(argv)
+def _cmd_classify(args) -> int:
     spec = _model_from_args(args)
     verdict = classify_rank_one(spec.family, spec.gram,
                                 spec.psi_in_Hminus1[0], args.tol)
@@ -168,14 +124,7 @@ def _cmd_classify(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_weyl(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="singext weyl")
-    _add_model_arguments(parser)
-    parser.add_argument("--z", required=True, help="spectral point as 're,im'")
-    parser.add_argument("--R", help="override R (inline JSON or file)")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="solver tolerance (default 1e-10)")
-    args = parser.parse_args(argv)
+def _cmd_weyl(args) -> int:
     spec = _model_from_args(args)
     if args.R:
         reg = decode_matrix(_load_json_arg(args.R))
@@ -191,16 +140,7 @@ def _cmd_weyl(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_spectrum(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="singext spectrum")
-    _add_model_arguments(parser)
-    parser.add_argument("--B", required=True, help="coupling matrix")
-    parser.add_argument("--interval", required=True, help="'lo,hi' below 0")
-    parser.add_argument("--num", type=int, default=2000,
-                        help="scan grid size (default 2000)")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="solver and bisection tolerance (default 1e-10)")
-    args = parser.parse_args(argv)
+def _cmd_spectrum(args) -> int:
     spec = _model_from_args(args)
     reg = _solve_unique_r(spec, args.tol)
     coupling = decode_matrix(_load_json_arg(args.B))
@@ -215,13 +155,7 @@ def _cmd_spectrum(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_nonneg(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="singext nonneg")
-    _add_model_arguments(parser)
-    parser.add_argument("--B", required=True, help="coupling matrix")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="solver and Loewner-order tolerance (default 1e-10)")
-    args = parser.parse_args(argv)
+def _cmd_nonneg(args) -> int:
     spec = _model_from_args(args)
     reg = _solve_unique_r(spec, args.tol)
     coupling = CouplingMatrix(decode_matrix(_load_json_arg(args.B)))
@@ -234,13 +168,7 @@ def _cmd_nonneg(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_smatrix(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="singext smatrix")
-    parser.add_argument("--B", required=True, help="coupling matrix")
-    parser.add_argument("--z", required=True, help="spectral point as 're,im'")
-    parser.add_argument("--tol", type=float, default=1e-12,
-                        help="unitarity/contractivity tolerance (default 1e-12)")
-    args = parser.parse_args(argv)
+def _cmd_smatrix(args) -> int:
     coupling = decode_matrix(_load_json_arg(args.B))
     z = decode_complex(args.z)
     result = s_matrix(coupling, z, args.tol)
@@ -254,14 +182,7 @@ def _cmd_smatrix(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_ladder(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="singext ladder")
-    parser.add_argument("--lambda", dest="lambda0", required=True,
-                        help="base spectral point as 're,im'")
-    parser.add_argument("--p", type=float, required=True, help="ladder ratio")
-    parser.add_argument("--range", dest="n_range", required=True,
-                        help="inclusive integer range 'a,b'")
-    args = parser.parse_args(argv)
+def _cmd_ladder(args) -> int:
     lam = decode_complex(args.lambda0)
     a_str, b_str = args.n_range.split(",")
     points = spectrum_ladder(lam, args.p, (int(a_str), int(b_str)))
@@ -272,17 +193,7 @@ def _cmd_ladder(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_sweep(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="singext sweep")
-    _add_model_arguments(parser)
-    parser.add_argument("--range", dest="b_range", required=True,
-                        help="'lo,hi' of the scalar coupling b")
-    parser.add_argument("--count", type=int, required=True)
-    parser.add_argument("--check", choices=["nonneg", "homogeneous"],
-                        default="nonneg")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="criterion tolerance (default 1e-10)")
-    args = parser.parse_args(argv)
+def _cmd_sweep(args) -> int:
     spec = _model_from_args(args)
     if spec.n != 1:
         raise ValueError("sweep drives a scalar coupling; the model must have n=1")
@@ -300,11 +211,7 @@ def _cmd_sweep(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_verify(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="singext verify")
-    parser.add_argument("--criteria",
-                        help="comma-separated criterion numbers (default all)")
-    args = parser.parse_args(argv)
+def _cmd_verify(args) -> int:
     numbers = None
     if args.criteria:
         numbers = [int(v) for v in args.criteria.split(",")]
@@ -319,47 +226,110 @@ def _cmd_verify(argv: list[str]) -> int:
     return 0 if all(res.passed for res in results) else 1
 
 
-_HANDLERS = {
-    "model": _cmd_model,
-    "solve-r": _cmd_solve_r,
-    "classify": _cmd_classify,
-    "weyl": _cmd_weyl,
-    "spectrum": _cmd_spectrum,
-    "nonneg": _cmd_nonneg,
-    "smatrix": _cmd_smatrix,
-    "ladder": _cmd_ladder,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-}
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The command tree, and its subcommand parsers by name."""
+    parser = argparse.ArgumentParser(
+        prog="singext",
+        epilog=f"Tolerance defaults: family/solver checks {DEFAULT_TOL:g}, "
+               "Hermiticity 1e-12 (relative), unitarity 1e-12; see --help "
+               "of each command.")
+    commands = parser.add_subparsers(title="commands", metavar="<command>")
+
+    model_flags = argparse.ArgumentParser(add_help=False)
+    model_flags.add_argument("--model",
+                             help="model spec as inline JSON or a file path")
+    model_flags.add_argument("--kind", choices=sorted(models.MODEL_SUMMARIES),
+                             help="model kind (alternative to --model)")
+    model_flags.add_argument("--d", type=int,
+                             help="dimension for PointInteractionRd")
+    model_flags.add_argument("--p", type=int, help="prime for PAdicVladimirov")
+    model_flags.add_argument(
+        "--alpha", type=float,
+        help="exponent for PAdicVladimirov / ScalingInvariant3D")
+    model_flags.add_argument("--n", type=int,
+                             help="channel count for ScalingInvariant3D")
+    model_flags.add_argument("--m-gram", dest="m_gram",
+                             help="channel Gram matrix for ScalingInvariant3D")
+    solver_flags = argparse.ArgumentParser(add_help=False,
+                                           parents=[model_flags])
+    solver_flags.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL,
+        help="solver, bisection and criterion tolerance (default %(default)s)")
+
+    def command(name, handler, summary, parents=()):
+        sub = commands.add_parser(name, help=summary, parents=parents)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    sub = command("model", _cmd_model,
+                  "enumerate model kinds (list), or the family, flags and "
+                  "Gram samples of one model (info)", [model_flags])
+    sub.add_argument("action", choices=["list", "info"])
+    command("solve-r", _cmd_solve_r, "solve the homogeneity system for R",
+            [solver_flags])
+    command("classify", _cmd_classify,
+            "rank-one trichotomy for an n=1 model", [solver_flags])
+    sub = command("weyl", _cmd_weyl, "Weyl matrix M(z) of a model",
+                  [solver_flags])
+    sub.add_argument("--z", required=True, help="spectral point as 're,im'")
+    sub.add_argument("--R", help="override R (inline JSON or file)")
+    sub = command("spectrum", _cmd_spectrum,
+                  "negative-axis eigenvalues of a realization", [solver_flags])
+    sub.add_argument("--B", required=True, help="coupling matrix")
+    sub.add_argument("--interval", required=True, help="'lo,hi' below 0")
+    sub.add_argument("--num", type=int, default=2000,
+                     help="scan grid size (default 2000)")
+    sub = command("nonneg", _cmd_nonneg,
+                  "nonnegativity criterion for a realization", [solver_flags])
+    sub.add_argument("--B", required=True, help="coupling matrix")
+    sub = command("smatrix", _cmd_smatrix,
+                  "scattering matrix S(z) for a coupling matrix")
+    sub.add_argument("--B", required=True, help="coupling matrix")
+    sub.add_argument("--z", required=True, help="spectral point as 're,im'")
+    sub.add_argument("--tol", type=float, default=1e-12,
+                     help="unitarity/contractivity tolerance (default 1e-12)")
+    sub = command("ladder", _cmd_ladder, "geometric spectrum ladder")
+    sub.add_argument("--lambda", dest="lambda0", required=True,
+                     help="base spectral point as 're,im'")
+    sub.add_argument("--p", type=float, required=True, help="ladder ratio")
+    sub.add_argument("--range", dest="n_range", required=True,
+                     help="inclusive integer range 'a,b'")
+    sub = command("sweep", _cmd_sweep, "CSV sweep of a scalar coupling",
+                  [solver_flags])
+    sub.add_argument("--range", dest="b_range", required=True,
+                     help="'lo,hi' of the scalar coupling b")
+    sub.add_argument("--count", type=int, required=True)
+    sub.add_argument("--check", choices=["nonneg", "homogeneous"],
+                     default="nonneg")
+    sub = command("verify", _cmd_verify,
+                  "run the reference-value verification suite")
+    sub.add_argument("--criteria",
+                     help="comma-separated criterion numbers (default all)")
+    return parser, commands.choices
 
 
 def run(argv: list[str]) -> int:
     """Execute one command; returns the exit code."""
-    if not argv or argv[0] in ("-h", "--help"):
-        print(USAGE)
-        return 0 if argv else 64
-    command = argv[0]
-    handler = _HANDLERS.get(command)
-    if handler is None:
-        print(USAGE)
+    parser, commands = _build_parser()
+    if not argv or (argv[0] not in commands
+                    and argv[0] not in ("-h", "--help")):
+        parser.print_help()
         return 64
     try:
-        return handler(argv[1:])
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the usage of the command, not of the tree
+            commands[argv[0]].error("unrecognized arguments: "
+                                    + " ".join(extra))
+        return args.handler(args)
     except SystemExit as exc:  # argparse --help or argument errors
         code = exc.code
         return code if isinstance(code, int) else 2
-    except _MathFailure as exc:
-        print(json.dumps({"command": command, "error": str(exc)},
-                         sort_keys=True))
-        return 3
-    except (PoleError, ConvergenceError) as exc:
-        print(json.dumps({"command": command, "error": str(exc)},
-                         sort_keys=True))
-        return 3
+    except (_MathFailure, PoleError, ConvergenceError) as exc:
+        error, code = str(exc), 3
     except (ValueError, KeyError, OSError) as exc:
-        print(json.dumps({"command": command, "error": str(exc)},
-                         sort_keys=True))
-        return 2
+        error, code = str(exc), 2
+    print(json.dumps({"command": argv[0], "error": error}, sort_keys=True))
+    return code
 
 
 def main() -> None:

@@ -27,10 +27,6 @@ def encode_matrix(mat) -> list[list[list[float]]]:
     return [[encode_complex(v) for v in row] for row in m]
 
 
-def encode_real(value) -> float:
-    return float(np.real_if_close(value))
-
-
 def decode_complex(obj) -> complex:
     """Decode a scalar given as number, ``[re, im]`` or ``"re,im"`` string."""
     if isinstance(obj, str):

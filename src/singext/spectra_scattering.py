@@ -31,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError
-from .symmetry import SymmetryFamily
+from .symmetry import DEFAULT_TOL, SymmetryFamily
 from .triplet import AdmissibleMatrix, CouplingMatrix, as_matrix, hermitian_defect
 
-DEFAULT_TOL = 1e-10
 S_MATRIX_PROVENANCE_NOTE = (
     "closed form established for the orthonormal scaling-invariant model "
     "with exponent 3/2; other configurations are formal")

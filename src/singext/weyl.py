@@ -33,10 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import PoleError, UnsupportedConfigurationError
-from .symmetry import SymmetryFamily
+from .symmetry import DEFAULT_TOL, SymmetryFamily
 from .triplet import as_matrix, hermitian_defect
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)

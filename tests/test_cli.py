@@ -1,11 +1,43 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
 import singext as sx
 from singext.cli import run
 from singext.jsonio import decode_complex, decode_matrix, encode_matrix
+
+SCHEMAS = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
+
+# The --model inputs of the tests below.
+POINT_D3_SPEC = {"kind": "PointInteractionRd", "d": 3}
+POINT_D1_SPEC = '{"kind": "PointInteractionRd", "d": 1}'
+
+# The JSON-printing examples of the README's command-line usage.
+README_EXAMPLES = [
+    ["model", "list"],
+    ["model", "info", "--kind", "PAdicVladimirov", "--p", "2", "--alpha", "1.5"],
+    ["solve-r", "--kind", "OneDimDeltaDeltaPrime"],
+    ["classify", "--kind", "PointInteractionRd", "--d", "3"],
+    ["weyl", "--kind", "PAdicVladimirov", "--p", "2", "--alpha", "1.5",
+     "--z=-1,0"],
+    ["spectrum", "--kind", "PAdicVladimirov", "--p", "2", "--alpha", "1.5",
+     "--B", "[[-0.57]]", "--interval=-3,-0.3"],
+    ["nonneg", "--kind", "ScalingInvariant3D", "--alpha", "1.5",
+     "--B", "[[-1.0]]"],
+    ["smatrix", "--B", "[[0]]", "--z", "1,0"],
+    ["ladder", "--lambda=-1,0", "--p", "4", "--range=-2,2"],
+    ["verify", "--criteria", "1,4,9"],
+]
+
+
+def load_schema(name):
+    return json.loads((SCHEMAS / name).read_text(encoding="utf-8"))
 
 
 def invoke(capsys, *argv):
@@ -195,7 +227,7 @@ def test_model_info_available_for_every_kind(capsys):
 
 def test_model_spec_loaded_from_file(tmp_path, capsys):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"kind": "PointInteractionRd", "d": 3}))
+    path.write_text(json.dumps(POINT_D3_SPEC))
     code, payload = invoke_json(capsys, "classify", "--model", str(path))
     assert code == 0
     assert payload["output"]["tag"] == "UniquePair"
@@ -235,6 +267,55 @@ def test_vector_io_round_trip():
 
 def test_model_info_accepts_inline_json(capsys):
     code, payload = invoke_json(capsys, "model", "info", "--model",
-                                '{"kind": "PointInteractionRd", "d": 1}')
+                                POINT_D1_SPEC)
     assert code == 0
     assert payload["output"]["params"] == {"d": 1}
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=lambda a: " ".join(a))
+def test_readme_example_envelope_matches_schema(capsys, argv):
+    code, payload = invoke_json(capsys, *argv)
+    assert code == 0
+    jsonschema.validate(payload, load_schema("command_result.schema.json"))
+    assert payload["command"] == " ".join(argv[:2 if argv[0] == "model" else 1])
+
+
+@pytest.mark.parametrize("spec", [POINT_D3_SPEC, json.loads(POINT_D1_SPEC)])
+def test_model_inputs_match_schema(spec):
+    jsonschema.validate(spec, load_schema("model_spec.schema.json"))
+
+
+def test_help_exits_0_with_usage(capsys):
+    code, out = invoke(capsys, "--help")
+    assert code == 0
+    assert "usage" in out
+
+
+def test_command_help_exits_0(capsys):
+    code, out = invoke(capsys, "weyl", "-h")
+    assert code == 0
+    assert "--z" in out
+
+
+def test_missing_required_flag_exits_2(capsys):
+    code, out = invoke(capsys, "weyl", "--kind", "PAdicVladimirov", "--p", "2",
+                       "--alpha", "1.5")
+    assert code == 2
+    assert out == ""
+
+
+def test_model_info_without_model_exits_2(capsys):
+    code, payload = invoke_json(capsys, "model", "info")
+    assert code == 2
+    assert payload["command"] == "model"
+    assert "--model" in payload["error"]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = pathlib.Path(sx.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "singext", "model", "list"],
+                          capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    _, expected = invoke(capsys, "model", "list")
+    assert proc.returncode == 0
+    assert proc.stdout == expected
