@@ -33,7 +33,8 @@ import numpy as np
 
 from .jsonio import encode_complex, encode_matrix
 from .symmetry import DEFAULT_TOL, SymmetryFamily
-from .triplet import as_matrix
+from .triplet import (as_matrix, frozen_matrix, hermitian_defect,
+                      is_hermitian, within)
 
 
 @dataclass(frozen=True)
@@ -42,19 +43,12 @@ class GramFunction:
 
     entries: Mapping[float, np.ndarray]
 
-    def __init__(self, entries: Mapping[float, np.ndarray]):
-        frozen = {}
-        n = None
-        for t, mat in entries.items():
-            arr = as_matrix(mat)
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape[0] != n:
-                raise ValueError("Gram matrices must share one dimension")
-            arr.setflags(write=False)
-            frozen[float(t)] = arr
+    def __post_init__(self):
+        frozen = {float(t): frozen_matrix(mat) for t, mat in self.entries.items()}
         if not frozen:
             raise ValueError("Gram function needs at least one sample")
+        if len({arr.shape[0] for arr in frozen.values()}) != 1:
+            raise ValueError("Gram matrices must share one dimension")
         object.__setattr__(self, "entries", MappingProxyType(frozen))
 
     @property
@@ -85,10 +79,8 @@ class UniqueSolution:
     matrix: np.ndarray
     tag = "Unique"
 
-    def __init__(self, matrix):
-        mat = as_matrix(matrix)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", frozen_matrix(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -102,13 +94,9 @@ class InfiniteSolutions:
     free_indices: frozenset[tuple[int, int]]
     tag = "Infinite"
 
-    def __init__(self, fixed_entries, free_indices):
+    def __post_init__(self):
         # NaN marks the free positions, so skip the finiteness coercion
-        mat = np.atleast_2d(np.asarray(fixed_entries, dtype=complex))
-        mat.setflags(write=False)
-        object.__setattr__(self, "fixed_entries", mat)
-        object.__setattr__(self, "free_indices",
-                           frozenset((int(i), int(j)) for i, j in free_indices))
+        self.fixed_entries.setflags(write=False)
 
 
 SolutionClass = NoSolution | UniqueSolution | InfiniteSolutions
@@ -138,15 +126,16 @@ def _entry_verdict(fam: SymmetryFamily, gram: GramFunction,
         b_scale = abs(fam.xi[i][t]) + abs(p_t / fam.xi[j][t])
         rows.append((t, b, rhs, b_scale))
     pivot = max(rows, key=lambda row: abs(row[1]))
-    if abs(pivot[1]) <= tol * max(1.0, pivot[3]):
+    if within(abs(pivot[1]), tol, pivot[3]):
         for t, b, rhs, _ in rows:
-            if abs(rhs) > tol * max(1.0, abs(1.0 - fam.p[t]) * float(np.abs(gram.at(t)).max())):
+            if not within(abs(rhs), tol,
+                          abs(1.0 - fam.p[t]) * float(np.abs(gram.at(t)).max())):
                 return "bad", f"entry ({i},{j}): beta vanishes but rhs != 0 at t={t!r}"
         return "free", None
     candidate = pivot[2] / pivot[1]
     for t, b, rhs, _ in rows:
         resid = abs(b * candidate - rhs)
-        if resid > tol * max(1.0, abs(b), abs(rhs)):
+        if not within(resid, tol, max(abs(b), abs(rhs))):
             return "bad", (f"entry ({i},{j}): candidate from t={pivot[0]!r} "
                            f"violates the equation at t={t!r} (residual {resid:.3e})")
     return "value", candidate
@@ -187,9 +176,9 @@ def solve_homogeneous_R(fam: SymmetryFamily, gram: GramFunction,
         return NoSolution("; ".join(problems))
     if free:
         return InfiniteSolutions(matrix, frozenset(free))
-    defect = float(np.linalg.norm(matrix - matrix.conj().T))
-    if defect > 10 * tol * max(1.0, float(np.linalg.norm(matrix))):
-        return NoSolution(f"assembled R is not Hermitian (defect {defect:.3e})")
+    if not is_hermitian(matrix, 10 * tol):
+        return NoSolution("assembled R is not Hermitian "
+                          f"(defect {hermitian_defect(matrix):.3e})")
     return UniqueSolution(matrix)
 
 

@@ -36,7 +36,7 @@ from .spectra_scattering import (S_MATRIX_PROVENANCE_NOTE, RealizationSpec,
                                  is_nonnegative_realization, s_matrix,
                                  spectrum_ladder)
 from .symmetry import DEFAULT_TOL
-from .triplet import AdmissibleMatrix, CouplingMatrix
+from .triplet import HERMITICITY_RTOL, AdmissibleMatrix, CouplingMatrix
 from .weyl import find_negative_eigenvalues, weyl_m
 
 
@@ -231,8 +231,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="singext",
         epilog=f"Tolerance defaults: family/solver checks {DEFAULT_TOL:g}, "
-               "Hermiticity 1e-12 (relative), unitarity 1e-12; see --help "
-               "of each command.")
+               f"Hermiticity {HERMITICITY_RTOL:g} (relative), unitarity 1e-12; "
+               "see --help of each command.")
     commands = parser.add_subparsers(title="commands", metavar="<command>")
 
     model_flags = argparse.ArgumentParser(add_help=False)

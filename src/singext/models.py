@@ -62,7 +62,7 @@ from .admissibility import GramFunction
 from .errors import ConvergenceError
 from .quadrature import integrate_half_line, integrate_half_line_complex
 from .symmetry import SymmetryFamily
-from .triplet import as_matrix, hermitian_defect
+from .triplet import as_matrix, frozen_matrix, is_hermitian
 from .weyl import SpectralModel
 
 GEOMETRIC_EXPONENTS = range(-3, 4)
@@ -75,37 +75,29 @@ KIND_SCALING = "ScalingInvariant3D"
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A fully built model: family, Gram function, spectral backend, flags."""
+    """A fully built model: family, Gram function, spectral backend, names."""
 
     kind: str
     params: Mapping[str, Any]
     family: SymmetryFamily
     gram: GramFunction
     spectral: SpectralModel
-    psi_in_Hminus1: tuple[bool, ...]
     channel_names: tuple[str, ...]
     predicted_R: np.ndarray | None = None
     beta_alpha: float | None = None
 
-    def __init__(self, kind, params, family, gram, spectral, psi_in_Hminus1,
-                 channel_names, predicted_R=None, beta_alpha=None):
-        object.__setattr__(self, "kind", str(kind))
-        object.__setattr__(self, "params", MappingProxyType(dict(params)))
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "spectral", spectral)
-        object.__setattr__(self, "psi_in_Hminus1", tuple(psi_in_Hminus1))
-        object.__setattr__(self, "channel_names", tuple(channel_names))
-        if predicted_R is not None:
-            predicted_R = as_matrix(predicted_R)
-            predicted_R.setflags(write=False)
-        object.__setattr__(self, "predicted_R", predicted_R)
-        object.__setattr__(self, "beta_alpha",
-                           None if beta_alpha is None else float(beta_alpha))
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        if self.predicted_R is not None:
+            object.__setattr__(self, "predicted_R", frozen_matrix(self.predicted_R))
 
     @property
     def n(self) -> int:
         return self.spectral.n
+
+    @property
+    def psi_in_Hminus1(self) -> tuple[bool, ...]:
+        return self.spectral.psi_in_Hminus1
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +178,7 @@ def build_one_dim_model() -> ModelSpec:
         psi_in_Hminus1=(True, False),
     )
     return ModelSpec(KIND_ONE_DIM, {}, family, gram, spectral,
-                     (True, False), ("delta", "delta_prime"))
+                     ("delta", "delta_prime"))
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +206,24 @@ def point_interaction_overlap(d: int) -> float:
     return (2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d] * integral
 
 
-def point_interaction_resolvent(d: int, z: complex) -> complex:
-    """((A0 - z)^-1 h, h) for the delta channel in d dims, by quadrature."""
+def radial_resolvent_integral(k: float, z: complex) -> complex:
+    """Quadrature of r^k/((1+r^2)^2 (r^2 - z)) over the half line.
+
+    Real z < 0 takes one real quadrature, any other z the real and
+    imaginary parts separately.
+    """
     z = complex(z)
     if z.imag == 0.0 and z.real < 0.0:
         x = z.real
-        integral = complex(integrate_half_line(
-            lambda r: r ** (d - 1) / ((1.0 + r * r) ** 2 * (r * r - x))))
-    else:
-        integral = integrate_half_line_complex(
-            lambda r: r ** (d - 1) / ((1.0 + r * r) ** 2 * (r * r - z)))
+        return complex(integrate_half_line(
+            lambda r: r ** k / ((1.0 + r * r) ** 2 * (r * r - x))))
+    return integrate_half_line_complex(
+        lambda r: r ** k / ((1.0 + r * r) ** 2 * (r * r - z)))
+
+
+def point_interaction_resolvent(d: int, z: complex) -> complex:
+    """((A0 - z)^-1 h, h) for the delta channel in d dims, by quadrature."""
+    integral = radial_resolvent_integral(d - 1, z)
     return (2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d] * integral
 
 
@@ -246,7 +246,7 @@ def build_point_interaction(d: int) -> ModelSpec:
         psi_in_Hminus1=(d == 1,),
     )
     return ModelSpec(KIND_POINT, {"d": int(d)}, family, gram, spectral,
-                     (d == 1,), ("delta",))
+                     ("delta",))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,7 @@ def padic_closed_form_m(p: int, alpha: float) -> Callable[[complex], np.ndarray]
     if alpha <= 1.0:
         raise ValueError("the closed Weyl series converges only for alpha > 1")
     pf = float(p)
-    eigenvalue = lambda N: pf ** (alpha * (1 - N))
+    eigenvalue, _ = _padic_data(p, alpha)
 
     def m_of_z(z: complex) -> np.ndarray:
         z = complex(z)
@@ -364,7 +364,7 @@ def build_padic_model(p: int, alpha: float,
         closed_form_M=closed,
     )
     return ModelSpec(KIND_PADIC, {"p": p, "alpha": alpha}, family, gram,
-                     spectral, (alpha > 1.0,), ("delta",))
+                     spectral, ("delta",))
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +391,7 @@ def beta_alpha(alpha: float) -> float:
 
 def e_alpha(alpha: float, z: complex) -> complex:
     """Resolvent Gram integral of y^(2a-1)/((1+y^2)^2 (y^2 - z))."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real < 0.0:
-        x = z.real
-        return complex(integrate_half_line(
-            lambda r: r ** (2.0 * alpha - 1.0) / ((1.0 + r * r) ** 2 * (r * r - x))))
-    return integrate_half_line_complex(
-        lambda r: r ** (2.0 * alpha - 1.0) / ((1.0 + r * r) ** 2 * (r * r - z)))
+    return radial_resolvent_integral(2.0 * alpha - 1.0, z)
 
 
 def gram_limit_at_one(alpha: float) -> float:
@@ -435,7 +429,7 @@ def build_scaling_invariant_3d(alpha: float, m_gram=None,
         m_mat = orthonormal_m_gram(alpha, n)
     else:
         m_mat = as_matrix(m_gram)
-        if hermitian_defect(m_mat) > 1e-12 * max(1.0, float(np.linalg.norm(m_mat))):
+        if not is_hermitian(m_mat):
             raise ValueError("m_gram must be Hermitian")
         if float(np.linalg.eigvalsh((m_mat + m_mat.conj().T) / 2).min()) < -1e-12:
             raise ValueError("m_gram must be positive semidefinite")
@@ -461,7 +455,7 @@ def build_scaling_invariant_3d(alpha: float, m_gram=None,
     return ModelSpec(
         KIND_SCALING,
         {"alpha": alpha, "n": n},
-        family, gram, spectral, (False,) * n,
+        family, gram, spectral,
         tuple(f"channel_{k}" for k in range(n)),
         predicted_R=-c_val * m_mat,
         beta_alpha=c_val / d_val if orthonormal else None,

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily
-from .triplet import AdmissibleMatrix, CouplingMatrix, as_matrix, hermitian_defect
+from .triplet import (POLE_RTOL, AdmissibleMatrix, CouplingMatrix, as_matrix,
+                      frozen_matrix, is_hermitian, within)
 
 S_MATRIX_PROVENANCE_NOTE = (
     "closed form established for the orthonormal scaling-invariant model "
@@ -48,16 +49,18 @@ class RealizationSpec:
     R: AdmissibleMatrix
     family: SymmetryFamily | None = None
 
-    def __init__(self, B, R, family=None):
-        b = B if isinstance(B, CouplingMatrix) else CouplingMatrix(B)
-        r = R if isinstance(R, AdmissibleMatrix) else AdmissibleMatrix(R)
+    def __post_init__(self):
+        b, r = self.B, self.R
+        if not isinstance(b, CouplingMatrix):
+            b = CouplingMatrix(b)
+            object.__setattr__(self, "B", b)
+        if not isinstance(r, AdmissibleMatrix):
+            r = AdmissibleMatrix(r)
+            object.__setattr__(self, "R", r)
         if b.n != r.n:
             raise ValueError(f"B is {b.n}x{b.n} but R is {r.n}x{r.n}")
-        if family is not None and family.n != b.n:
+        if self.family is not None and self.family.n != b.n:
             raise ValueError("family channel count disagrees with B")
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "R", r)
-        object.__setattr__(self, "family", family)
 
     @property
     def n(self) -> int:
@@ -95,30 +98,30 @@ def is_nonnegative_realization(spec: RealizationSpec,
     """
     b = spec.B.matrix
     r = spec.R.matrix
-    if hermitian_defect(b) > tol * max(1.0, float(np.linalg.norm(b))):
+    if not is_hermitian(b, tol):
         raise ValueError("nonnegativity criterion requires a Hermitian B")
     svals = np.linalg.svd(r, compute_uv=False)
-    if svals[-1] <= tol * max(1.0, float(svals[0])):
+    if within(svals[-1], tol, float(svals[0])):
         raise ValueError("R must be invertible")
     n = spec.n
     k = b @ r + np.eye(n)
     det = complex(np.linalg.det(k))
-    if abs(det) <= tol * max(1.0, float(np.linalg.norm(k)) ** n):
+    if within(abs(det), tol, float(np.linalg.norm(k)) ** n):
         return NonnegativityReport(False, "det(BR+I) vanishes", det, None, None)
     x = -np.linalg.solve(k, b)
     x_h = (x + x.conj().T) / 2
-    scale = max(1.0, float(np.linalg.norm(x_h)))
-    if float(np.linalg.norm(x - x.conj().T)) > tol * scale:
+    x_norm = float(np.linalg.norm(x_h))
+    if not within(float(np.linalg.norm(x - x.conj().T)), tol, x_norm):
         return NonnegativityReport(False, "-(BR+I)^-1 B is not Hermitian",
                                    det, None, None)
     x_min = float(np.linalg.eigvalsh(x_h).min())
     gap = -np.linalg.inv(r) - x_h
     gap_h = (gap + gap.conj().T) / 2
     gap_min = float(np.linalg.eigvalsh(gap_h).min())
-    if x_min < -tol * scale:
+    if not within(-x_min, tol, x_norm):
         return NonnegativityReport(False, "lower Loewner bound 0 <= X fails",
                                    det, x_min, gap_min)
-    if gap_min < -tol * max(1.0, float(np.linalg.norm(gap_h))):
+    if not within(-gap_min, tol, float(np.linalg.norm(gap_h))):
         return NonnegativityReport(False, "upper Loewner bound X <= -R^-1 fails",
                                    det, x_min, gap_min)
     return NonnegativityReport(True, "", det, x_min, gap_min)
@@ -174,16 +177,8 @@ class SMatrix:
     unitary: bool | None
     contractive: bool | None
 
-    def __init__(self, z, matrix, unitary_defect, max_singular_value,
-                 unitary, contractive):
-        mat = as_matrix(matrix)
-        mat.setflags(write=False)
-        object.__setattr__(self, "z", complex(z))
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "unitary_defect", float(unitary_defect))
-        object.__setattr__(self, "max_singular_value", float(max_singular_value))
-        object.__setattr__(self, "unitary", unitary)
-        object.__setattr__(self, "contractive", contractive)
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", frozen_matrix(self.matrix))
 
 
 def s_matrix(coupling, z: complex, tol: float = 1e-12) -> SMatrix:
@@ -194,13 +189,12 @@ def s_matrix(coupling, z: complex, tol: float = 1e-12) -> SMatrix:
     eye = np.eye(n)
     denom = eye + 2j * z * b
     svals = np.linalg.svd(denom, compute_uv=False)
-    if svals[-1] <= 1e-14 * max(1.0, float(svals[0])):
+    if within(svals[-1], POLE_RTOL, float(svals[0])):
         raise PoleError("I + 2iz B is singular at the requested point")
     numer = eye - 2j * z * b
     s = np.linalg.solve(denom.T, numer.T).T
     defect = float(np.linalg.norm(s.conj().T @ s - eye))
     max_sv = float(np.linalg.svd(s, compute_uv=False)[0])
-    hermitian_b = hermitian_defect(b) <= 1e-12 * max(1.0, float(np.linalg.norm(b)))
-    unitary = defect <= tol if (z.imag == 0.0 and hermitian_b) else None
+    unitary = defect <= tol if (z.imag == 0.0 and is_hermitian(b)) else None
     contractive = max_sv <= 1.0 + tol if z.imag > 0.0 else None
     return SMatrix(z, s, defect, max_sv, unitary, contractive)

@@ -57,15 +57,12 @@ class SymmetryFamily:
     p: Mapping[float, float]
     xi: tuple[Mapping[float, float], ...]
 
-    def __init__(self, sample_points: Iterable[float],
-                 conjugate: Mapping[float, float],
-                 p: Mapping[float, float],
-                 xi: Iterable[Mapping[float, float]]):
-        pts = tuple(float(t) for t in sample_points)
+    def __post_init__(self):
+        pts = tuple(float(t) for t in self.sample_points)
         object.__setattr__(self, "sample_points", pts)
-        object.__setattr__(self, "conjugate", _freeze(conjugate))
-        object.__setattr__(self, "p", _freeze(p))
-        object.__setattr__(self, "xi", tuple(_freeze(m) for m in xi))
+        object.__setattr__(self, "conjugate", _freeze(self.conjugate))
+        object.__setattr__(self, "p", _freeze(self.p))
+        object.__setattr__(self, "xi", tuple(_freeze(m) for m in self.xi))
         if not pts:
             raise ValueError("sample_points must be nonempty")
         if not self.xi:

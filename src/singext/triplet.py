@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 HERMITICITY_RTOL = 1e-12
+POLE_RTOL = 1e-14
 
 
 def as_matrix(m) -> np.ndarray:
@@ -39,16 +40,35 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def _as_vector(v) -> np.ndarray:
+def frozen_matrix(m) -> np.ndarray:
+    """``as_matrix`` made read-only, for storage in a frozen value type."""
+    arr = as_matrix(m)
+    arr.setflags(write=False)
+    return arr
+
+
+def within(x: float, tol: float, scale: float = 1.0) -> bool:
+    """The package's tolerance rule: x <= tol * max(1, scale)."""
+    return x <= tol * max(1.0, scale)
+
+
+def _frozen_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex).ravel()
     if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
         raise ValueError("vector entries must be finite")
+    arr.setflags(write=False)
     return arr
 
 
 def hermitian_defect(m) -> float:
     mat = as_matrix(m)
     return float(np.linalg.norm(mat - mat.conj().T))
+
+
+def is_hermitian(m, tol: float = HERMITICITY_RTOL) -> bool:
+    """Hermitian within ``tol`` relative to the Frobenius norm."""
+    mat = as_matrix(m)
+    return within(hermitian_defect(mat), tol, float(np.linalg.norm(mat)))
 
 
 @dataclass(frozen=True)
@@ -63,14 +83,12 @@ class BoundaryCoordinates:
     a: np.ndarray
     b: np.ndarray
 
-    def __init__(self, a, b):
-        a = _as_vector(a)
-        b = _as_vector(b)
+    def __post_init__(self):
+        a = _frozen_vector(self.a)
+        b = _frozen_vector(self.b)
         if a.shape != b.shape:
             raise DimensionMismatchError(
                 f"coordinate vectors disagree: {a.shape} vs {b.shape}")
-        a.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -85,12 +103,11 @@ class AdmissibleMatrix:
 
     matrix: np.ndarray
 
-    def __init__(self, matrix, tol: float = HERMITICITY_RTOL):
-        mat = as_matrix(matrix)
-        defect = np.linalg.norm(mat - mat.conj().T)
-        if defect > tol * max(1.0, np.linalg.norm(mat)):
-            raise ValueError(f"R must be Hermitian (defect {defect:.3e})")
-        mat.setflags(write=False)
+    def __post_init__(self):
+        mat = frozen_matrix(self.matrix)
+        if not is_hermitian(mat):
+            raise ValueError(
+                f"R must be Hermitian (defect {hermitian_defect(mat):.3e})")
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -108,10 +125,8 @@ class CouplingMatrix:
 
     matrix: np.ndarray
 
-    def __init__(self, matrix):
-        mat = as_matrix(matrix)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", frozen_matrix(self.matrix))
 
     @property
     def n(self) -> int:
@@ -149,8 +164,7 @@ def in_realization_domain(coords: BoundaryCoordinates,
 def is_selfadjoint_realization(coupling: CouplingMatrix | np.ndarray,
                                tol: float = HERMITICITY_RTOL) -> bool:
     """True when B is Hermitian (relative to its norm), i.e. the realization is self-adjoint."""
-    mat = as_matrix(coupling)
-    return hermitian_defect(mat) <= tol * max(1.0, float(np.linalg.norm(mat)))
+    return is_hermitian(coupling, tol)
 
 
 def boundary_form(first: tuple[np.ndarray, np.ndarray],

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import PoleError, UnsupportedConfigurationError
 from .symmetry import DEFAULT_TOL, SymmetryFamily
-from .triplet import as_matrix, hermitian_defect
+from .triplet import (POLE_RTOL, as_matrix, frozen_matrix, is_hermitian,
+                      within)
 
 
 @dataclass(frozen=True)
@@ -64,25 +65,17 @@ class SpectralModel:
     psi_in_Hminus1: tuple[bool, ...]
     closed_form_M: Callable[[complex], np.ndarray] | None = None
 
-    def __init__(self, n, resolvent_gram, overlap, psi_in_Hminus1,
-                 closed_form_M=None):
-        n = int(n)
-        overlap = as_matrix(overlap)
-        if overlap.shape[0] != n:
+    def __post_init__(self):
+        overlap = frozen_matrix(self.overlap)
+        if overlap.shape[0] != self.n:
             raise ValueError("overlap dimension disagrees with channel count")
-        if hermitian_defect(overlap) > 1e-12 * max(1.0, float(np.linalg.norm(overlap))):
+        if not is_hermitian(overlap):
             raise ValueError("overlap must be Hermitian")
         if float(np.linalg.eigvalsh(overlap).min()) <= 0:
             raise ValueError("overlap must be positive definite")
-        overlap.setflags(write=False)
-        flags = tuple(bool(f) for f in psi_in_Hminus1)
-        if len(flags) != n:
+        if len(self.psi_in_Hminus1) != self.n:
             raise ValueError("one membership flag per channel is required")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "resolvent_gram", resolvent_gram)
         object.__setattr__(self, "overlap", overlap)
-        object.__setattr__(self, "psi_in_Hminus1", flags)
-        object.__setattr__(self, "closed_form_M", closed_form_M)
 
     def resolvent_at(self, z: complex) -> np.ndarray:
         e = as_matrix(self.resolvent_gram(complex(z)))
@@ -93,23 +86,28 @@ class SpectralModel:
 
 @dataclass(frozen=True)
 class WeylEvaluation:
-    """Weyl matrix at one spectral point, with optional closed-form residual."""
+    """Weyl matrix at one spectral point, with the model's closed form if any."""
 
     z: complex
     matrix: np.ndarray
-    closed_form_residual: float | None = None
+    closed_form_M: Callable[[complex], np.ndarray] | None = None
 
-    def __init__(self, z, matrix, closed_form_residual=None):
-        mat = as_matrix(matrix)
-        mat.setflags(write=False)
-        object.__setattr__(self, "z", complex(z))
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "closed_form_residual", closed_form_residual)
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", frozen_matrix(self.matrix))
+
+    @property
+    def closed_form_residual(self) -> float | None:
+        """Relative discrepancy against the closed form, None without one."""
+        if self.closed_form_M is None:
+            return None
+        ref = as_matrix(self.closed_form_M(self.z))
+        return float(np.linalg.norm(self.matrix - ref)
+                     / max(np.linalg.norm(ref), 1e-300))
 
 
 def _invert_or_pole(mat: np.ndarray, what: str) -> np.ndarray:
     svals = np.linalg.svd(mat, compute_uv=False)
-    if svals[-1] <= 1e-14 * max(1.0, float(svals[0])):
+    if within(svals[-1], POLE_RTOL, float(svals[0])):
         raise PoleError(f"{what} is singular at the requested point")
     return np.linalg.inv(mat)
 
@@ -139,18 +137,15 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
 
     A singular R + Mhat(z) raises ``PoleError``: the requested point is
     an eigenvalue of the regularizing extension.  When the model carries
-    a closed form, the relative discrepancy against it is reported in
-    the returned evaluation.
+    a closed form, the returned evaluation reports the relative
+    discrepancy against it on access.
     """
     r = as_matrix(reg)
     if r.shape[0] != model.n:
         raise ValueError("R dimension disagrees with the model")
+    z = complex(z)
     m = -_invert_or_pole(r + _m_hat_raw(model, z), "R + Mhat(z)")
-    resid = None
-    if model.closed_form_M is not None:
-        ref = as_matrix(model.closed_form_M(complex(z)))
-        resid = float(np.linalg.norm(m - ref) / max(np.linalg.norm(ref), 1e-300))
-    return WeylEvaluation(z, m, resid)
+    return WeylEvaluation(z, m, model.closed_form_M)
 
 
 def check_weyl_homogeneity(weyl_fn: Callable[[complex], np.ndarray],
@@ -197,7 +192,7 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
     discarded.
     """
     b = as_matrix(coupling)
-    if hermitian_defect(b) > 1e-12 * max(1.0, float(np.linalg.norm(b))):
+    if not is_hermitian(b):
         raise ValueError("eigenvalue search requires a Hermitian B")
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not lo < hi < 0:

@@ -1,0 +1,35 @@
+"""Regression tests for known wrong outputs, kept as strict expected failures.
+
+Each test states the correct behaviour.  Once the fault is mended the
+test passes, the strict marker turns that into a failure, and the marker
+must come off.
+"""
+
+import numpy as np
+import pytest
+
+import singext as sx
+from singext.errors import ConvergenceError, PoleError
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the sign-change search of "
+                   "det(B - M(x)) misses eigenvalues of even multiplicity")
+def test_double_eigenvalue_is_found():
+    model = sx.build_scaling_invariant_3d(1.5, n=2)
+    r = sx.solve_homogeneous_R(model.family, model.gram).matrix
+    b = sx.weyl_m(model.spectral, r, -1.0).matrix.real
+    np.testing.assert_allclose(b, 0.5 * np.eye(2), atol=1e-9)
+    roots = sx.find_negative_eigenvalues(model.spectral, r, b, (-3.0, -0.3))
+    assert any(abs(x + 1.0) <= 1e-8 for x in roots), roots
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the quadrature behind "
+                   "e_alpha returns wrong values next to the spectrum, without error")
+@pytest.mark.parametrize("z", [1.0 + 1e-12j, -1e-14 + 0j])
+def test_weyl_m_next_to_spectrum_is_right_or_refused(scaling, scaling_r, z):
+    exact = 1.0 / (2.0 * np.sqrt(-z))  # orthonormal scaling model, alpha = 3/2
+    try:
+        got = sx.weyl_m(scaling.spectral, scaling_r, z).matrix[0, 0]
+    except (ConvergenceError, PoleError):
+        return
+    assert abs(got - exact) <= 1e-6 * max(1.0, abs(exact)), got
