@@ -21,7 +21,7 @@ from .models import (ModelSpec, build_one_dim_model, build_padic_model,
 from .spectra_scattering import (RealizationSpec, SMatrix,
                                  is_homogeneous_realization,
                                  is_nonnegative_realization, s_matrix,
-                                 spectrum_ladder)
+                                 s_matrix_grid, spectrum_ladder)
 from .symmetry import (NotPowerLaw, PowerLaw, SymmetryFamily,
                        ValidationReport, Violation, classify_power_law,
                        validate_family)
@@ -49,6 +49,6 @@ __all__ = [
     "is_homogeneous_realization", "is_nonnegative_realization",
     "is_selfadjoint_realization", "krein_correction", "m_hat",
     "model_from_json", "model_info", "residual_homogeneous", "s_matrix",
-    "solve_homogeneous_R", "spectrum_ladder", "to_regularized_triplet",
-    "validate_family", "weyl_m",
+    "s_matrix_grid", "solve_homogeneous_R", "spectrum_ladder",
+    "to_regularized_triplet", "validate_family", "weyl_m",
 ]

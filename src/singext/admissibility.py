@@ -37,7 +37,7 @@ from .triplet import (as_matrix, frozen_matrix, hermitian_defect,
                       is_hermitian, within)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramFunction:
     """Sampled Gram data t -> G(t) with G(t)[i, j] = (h_j, U_t h_i)."""
 
@@ -74,7 +74,7 @@ class NoSolution:
     tag = "NoSolution"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniqueSolution:
     matrix: np.ndarray
     tag = "Unique"
@@ -83,7 +83,7 @@ class UniqueSolution:
         object.__setattr__(self, "matrix", frozen_matrix(self.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfiniteSolutions:
     """Underdetermined system: fixed entries plus free index pairs.
 
@@ -95,8 +95,11 @@ class InfiniteSolutions:
     tag = "Infinite"
 
     def __post_init__(self):
-        # NaN marks the free positions, so skip the finiteness coercion
-        self.fixed_entries.setflags(write=False)
+        # NaN marks the free positions, so skip the finiteness coercion;
+        # copy, so that the caller's array stays writable
+        entries = np.array(self.fixed_entries)
+        entries.setflags(write=False)
+        object.__setattr__(self, "fixed_entries", entries)
 
 
 SolutionClass = NoSolution | UniqueSolution | InfiniteSolutions

@@ -73,7 +73,7 @@ KIND_PADIC = "PAdicVladimirov"
 KIND_SCALING = "ScalingInvariant3D"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """A fully built model: family, Gram function, spectral backend, names."""
 

@@ -162,7 +162,7 @@ def spectrum_ladder(lambda0: complex, p_t0: float,
     return [complex(lambda0) * ratio ** k for k in range(a, b + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SMatrix:
     """Scattering matrix at one spectral parameter, with diagnostics.
 
@@ -181,20 +181,34 @@ class SMatrix:
         object.__setattr__(self, "matrix", frozen_matrix(self.matrix))
 
 
+def s_matrix_grid(coupling, z) -> np.ndarray:
+    """S(z) = (I - 2iz B)(I + 2iz B)^-1 at every point of an array of z.
+
+    Returns an array of shape ``np.shape(z) + (n, n)``; raises
+    ``PoleError`` when I + 2iz B is singular at any of the points.
+    """
+    b = as_matrix(coupling)
+    wb = (2j * np.asarray(z, dtype=complex))[..., None, None] * b
+    eye = np.eye(b.shape[0])
+    denom = eye + wb
+    svals = np.linalg.svd(denom, compute_uv=False)
+    # The ``within`` rule, point by point.
+    if (svals[..., -1] <= POLE_RTOL * np.maximum(svals[..., 0], 1.0)).any():
+        raise PoleError("I + 2iz B is singular at the requested point")
+    numer = eye - wb
+    # S = N D^-1, solved as D^T S^T = N^T.
+    return np.linalg.solve(denom.swapaxes(-2, -1),
+                           numer.swapaxes(-2, -1)).swapaxes(-2, -1)
+
+
 def s_matrix(coupling, z: complex, tol: float = 1e-12) -> SMatrix:
     """Evaluate S(z) = (I - 2iz B)(I + 2iz B)^-1 with status diagnostics."""
-    b = as_matrix(coupling)
     z = complex(z)
-    n = b.shape[0]
-    eye = np.eye(n)
-    denom = eye + 2j * z * b
-    svals = np.linalg.svd(denom, compute_uv=False)
-    if within(svals[-1], POLE_RTOL, float(svals[0])):
-        raise PoleError("I + 2iz B is singular at the requested point")
-    numer = eye - 2j * z * b
-    s = np.linalg.solve(denom.T, numer.T).T
-    defect = float(np.linalg.norm(s.conj().T @ s - eye))
+    s = s_matrix_grid(coupling, z)
+    # Reductions of the one 2-D matrix: a stacked norm(..., axis=(-2, -1))
+    # rounds differently in the last bit of the printed defect.
+    defect = float(np.linalg.norm(s.conj().T @ s - np.eye(s.shape[0])))
     max_sv = float(np.linalg.svd(s, compute_uv=False)[0])
-    unitary = defect <= tol if (z.imag == 0.0 and is_hermitian(b)) else None
+    unitary = defect <= tol if (z.imag == 0.0 and is_hermitian(coupling)) else None
     contractive = max_sv <= 1.0 + tol if z.imag > 0.0 else None
     return SMatrix(z, s, defect, max_sv, unitary, contractive)

@@ -41,8 +41,15 @@ def as_matrix(m) -> np.ndarray:
 
 
 def frozen_matrix(m) -> np.ndarray:
-    """``as_matrix`` made read-only, for storage in a frozen value type."""
+    """``as_matrix`` made read-only, for storage in a frozen value type.
+
+    A writable array that is the caller's own, or a view of one, is
+    copied first (keeping its memory layout), so the caller's array
+    stays writable and cannot change the stored matrix.
+    """
     arr = as_matrix(m)
+    if arr.flags.writeable and (arr is m or not arr.flags.owndata):
+        arr = arr.copy(order="K")
     arr.setflags(write=False)
     return arr
 
@@ -53,7 +60,7 @@ def within(x: float, tol: float, scale: float = 1.0) -> bool:
 
 
 def _frozen_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=complex).ravel()
+    arr = np.array(v, dtype=complex).ravel()
     if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
         raise ValueError("vector entries must be finite")
     arr.setflags(write=False)
@@ -71,7 +78,7 @@ def is_hermitian(m, tol: float = HERMITICITY_RTOL) -> bool:
     return within(hermitian_defect(mat), tol, float(np.linalg.norm(mat)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCoordinates:
     """Coordinates (a, b) of an element of the adjoint domain.
 
@@ -97,7 +104,7 @@ class BoundaryCoordinates:
         return self.a.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdmissibleMatrix:
     """Hermitian matrix R fixing the extension of the singular functionals."""
 
@@ -115,7 +122,7 @@ class AdmissibleMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingMatrix:
     """Coefficient matrix B of the singular perturbation.
 

@@ -38,7 +38,7 @@ from .triplet import (POLE_RTOL, as_matrix, frozen_matrix, is_hermitian,
                       within)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Per-model spectral backend in the defect basis h_1..h_n.
 
@@ -84,7 +84,7 @@ class SpectralModel:
         return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylEvaluation:
     """Weyl matrix at one spectral point, with the model's closed form if any."""
 

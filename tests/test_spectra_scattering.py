@@ -195,3 +195,46 @@ def test_realization_spec_validates_dimensions():
     with pytest.raises(ValueError):
         RealizationSpec(CouplingMatrix(np.zeros((2, 2))),
                         AdmissibleMatrix([[1.0]]))
+
+
+# scattering matrix on a z grid ----------------------------------------------
+
+def cayley_one_point(b, z):
+    """S(z) by one 2-D solve, the scalar arithmetic the grid must keep."""
+    eye = np.eye(b.shape[0])
+    z = complex(z)
+    return np.linalg.solve((eye + 2j * z * b).T, (eye - 2j * z * b).T).T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_smatrix_grid_matches_scalar_bit_for_bit(n, hermitian):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = (raw + raw.conj().T) / 2 if hermitian else raw
+        zs = np.concatenate([rng.uniform(-10, 10, 6),
+                             rng.uniform(-10, 10, 6) + 1j * rng.uniform(-10, 10, 6)])
+        grid = sx.s_matrix_grid(b, zs)
+        for z, s in zip(zs, grid):
+            assert np.array_equal(s, cayley_one_point(b, z))
+            assert np.array_equal(s, sx.s_matrix(b, z).matrix)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_smatrix_grid_shape(shape):
+    b = np.array([[0.7, 0.1], [0.1, -0.3]])
+    z = np.full(shape, 0.4 + 0.9j)
+    assert sx.s_matrix_grid(b, z).shape == shape + (2, 2)
+
+
+def test_smatrix_grid_identity_at_zero():
+    b = np.array([[0.7, 0.1], [0.1, -0.3]])
+    s = sx.s_matrix_grid(b, np.zeros(3))
+    assert all(np.array_equal(m, np.eye(2)) for m in s)
+
+
+def test_smatrix_grid_pole_at_one_point():
+    z = np.array([[1.0 + 1.0j, 0.5j], [2.0, -1.0 + 0.5j]])
+    with pytest.raises(PoleError, match="singular at the requested point"):
+        sx.s_matrix_grid(np.array([[1.0]]), z)

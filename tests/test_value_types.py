@@ -1,6 +1,7 @@
 """The frozen value types, their read-only arrays, and the one Hermiticity rule."""
 
 import dataclasses
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -127,3 +128,39 @@ def test_closed_form_residual_matches_closed_form(padic, padic_r):
     expected = np.linalg.norm(ev.matrix - ref) / np.linalg.norm(ref)
     assert ev.closed_form_residual == pytest.approx(expected, rel=1e-12, abs=1e-300)
     assert ev.closed_form_residual <= 1e-10
+
+
+def test_building_from_a_complex_array_copies_it():
+    for build in (sx.CouplingMatrix, sx.AdmissibleMatrix,
+                  lambda m: sx.SMatrix(0.5, m, 0.0, 1.0, None, None)):
+        a = np.array([[1 + 0j, 2], [2, 3]])
+        stored = build(a).matrix
+        assert a.flags.writeable
+        a[0, 0] = 5.0
+        assert stored[0, 0] == 1.0
+    v = np.array([1 + 0j, 2])
+    coords = sx.BoundaryCoordinates(v, v)
+    v[0] = 5.0
+    assert coords.a[0] == coords.b[0] == 1.0
+    fixed = np.array([[np.nan, 1.0], [1.0, np.nan]], dtype=complex)
+    sx.InfiniteSolutions(fixed, frozenset({(0, 0), (1, 1)}))
+    assert fixed.flags.writeable
+
+
+def equal_valued_copy(obj):
+    """The same field values, with every stored array copied."""
+    def fresh(value):
+        if isinstance(value, np.ndarray):
+            return value.copy()
+        if isinstance(value, Mapping):
+            return {k: fresh(v) for k, v in value.items()}
+        return value
+    return dataclasses.replace(obj, **{f.name: fresh(getattr(obj, f.name))
+                                       for f in dataclasses.fields(obj)})
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_equality_never_raises(instances, name):
+    obj = instances[name]
+    assert obj == obj
+    obj == equal_valued_copy(obj)
