@@ -13,8 +13,7 @@ from .admissibility import (AllHomogeneous, GramFunction, InfiniteSolutions,
                             beta, classify_rank_one, residual_homogeneous,
                             solve_homogeneous_R)
 from .errors import (ConvergenceError, DimensionMismatchError,
-                     InsufficientDataError, PoleError,
-                     UnsupportedConfigurationError)
+                     InsufficientDataError, PoleError)
 from .models import (ModelSpec, build_one_dim_model, build_padic_model,
                      build_point_interaction, build_scaling_invariant_3d,
                      gram_limit_at_one, model_from_json, model_info)
@@ -29,7 +28,7 @@ from .triplet import (AdmissibleMatrix, BoundaryCoordinates, CouplingMatrix,
                       boundary_form, in_realization_domain,
                       is_selfadjoint_realization, to_regularized_triplet)
 from .weyl import (SpectralModel, WeylEvaluation, check_weyl_homogeneity,
-                   find_negative_eigenvalues, krein_correction, m_hat, weyl_m)
+                   find_negative_eigenvalues, krein_correction, weyl_m)
 
 __version__ = "0.1.0"
 
@@ -40,15 +39,15 @@ __all__ = [
     "ModelSpec", "NoSolution", "NotPowerLaw", "OnlyA0", "PoleError",
     "PowerLaw", "RealizationSpec", "SMatrix", "SpectralModel",
     "SymmetryFamily", "UniquePair", "UniqueSolution",
-    "UnsupportedConfigurationError", "ValidationReport", "Violation",
-    "WeylEvaluation", "beta", "boundary_form", "build_one_dim_model",
-    "build_padic_model", "build_point_interaction",
-    "build_scaling_invariant_3d", "check_weyl_homogeneity",
-    "classify_power_law", "classify_rank_one", "find_negative_eigenvalues",
-    "gram_limit_at_one", "in_realization_domain",
-    "is_homogeneous_realization", "is_nonnegative_realization",
-    "is_selfadjoint_realization", "krein_correction", "m_hat",
-    "model_from_json", "model_info", "residual_homogeneous", "s_matrix",
-    "s_matrix_grid", "solve_homogeneous_R", "spectrum_ladder",
-    "to_regularized_triplet", "validate_family", "weyl_m",
+    "ValidationReport", "Violation", "WeylEvaluation", "beta",
+    "boundary_form", "build_one_dim_model", "build_padic_model",
+    "build_point_interaction", "build_scaling_invariant_3d",
+    "check_weyl_homogeneity", "classify_power_law", "classify_rank_one",
+    "find_negative_eigenvalues", "gram_limit_at_one",
+    "in_realization_domain", "is_homogeneous_realization",
+    "is_nonnegative_realization", "is_selfadjoint_realization",
+    "krein_correction", "model_from_json", "model_info",
+    "residual_homogeneous", "s_matrix", "s_matrix_grid",
+    "solve_homogeneous_R", "spectrum_ladder", "to_regularized_triplet",
+    "validate_family", "weyl_m",
 ]

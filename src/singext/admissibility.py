@@ -34,7 +34,7 @@ import numpy as np
 from .jsonio import encode_complex, encode_matrix
 from .symmetry import DEFAULT_TOL, SymmetryFamily
 from .triplet import (as_matrix, frozen_matrix, hermitian_defect,
-                      is_hermitian, within)
+                      hermitian_within, within)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +179,7 @@ def solve_homogeneous_R(fam: SymmetryFamily, gram: GramFunction,
         return NoSolution("; ".join(problems))
     if free:
         return InfiniteSolutions(matrix, frozenset(free))
-    if not is_hermitian(matrix, 10 * tol):
+    if not hermitian_within(matrix, 10 * tol):
         return NoSolution("assembled R is not Hermitian "
                           f"(defect {hermitian_defect(matrix):.3e})")
     return UniqueSolution(matrix)

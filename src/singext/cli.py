@@ -55,6 +55,20 @@ def _load_json_arg(text: str):
         raise ValueError(f"{text!r} is neither inline JSON nor an existing file")
 
 
+def tolerance(text: str) -> float:
+    """argparse type of ``--tol``: a finite number above 0."""
+    if 0.0 < float(text) < np.inf:
+        return float(text)
+    raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+
+
+def grid_size(text: str) -> int:
+    """argparse type of ``--num``: at least the 2 ends of the scan."""
+    if int(text) >= 2:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
+
+
 def _parse_interval(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -253,7 +267,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     solver_flags = argparse.ArgumentParser(add_help=False,
                                            parents=[model_flags])
     solver_flags.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL,
+        "--tol", type=tolerance, default=DEFAULT_TOL,
         help="solver, bisection and criterion tolerance (default %(default)s)")
 
     def command(name, handler, summary, parents=()):
@@ -277,7 +291,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                   "negative-axis eigenvalues of a realization", [solver_flags])
     sub.add_argument("--B", required=True, help="coupling matrix")
     sub.add_argument("--interval", required=True, help="'lo,hi' below 0")
-    sub.add_argument("--num", type=int, default=2000,
+    sub.add_argument("--num", type=grid_size, default=2000,
                      help="scan grid size (default 2000)")
     sub = command("nonneg", _cmd_nonneg,
                   "nonnegativity criterion for a realization", [solver_flags])
@@ -286,7 +300,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                   "scattering matrix S(z) for a coupling matrix")
     sub.add_argument("--B", required=True, help="coupling matrix")
     sub.add_argument("--z", required=True, help="spectral point as 're,im'")
-    sub.add_argument("--tol", type=float, default=1e-12,
+    sub.add_argument("--tol", type=tolerance, default=1e-12,
                      help="unitarity/contractivity tolerance (default 1e-12)")
     sub = command("ladder", _cmd_ladder, "geometric spectrum ladder")
     sub.add_argument("--lambda", dest="lambda0", required=True,

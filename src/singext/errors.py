@@ -9,10 +9,6 @@ class InsufficientDataError(ValueError):
     """Too few samples to determine the requested quantity."""
 
 
-class UnsupportedConfigurationError(ValueError):
-    """The requested operation does not apply to this configuration."""
-
-
 class PoleError(ArithmeticError):
     """A matrix that must be inverted is singular at the requested point.
 

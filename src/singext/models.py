@@ -62,7 +62,7 @@ from .admissibility import GramFunction
 from .errors import ConvergenceError
 from .quadrature import integrate_half_line, integrate_half_line_complex
 from .symmetry import SymmetryFamily
-from .triplet import as_matrix, frozen_matrix, is_hermitian
+from .triplet import as_matrix, frozen_matrix, hermitian_within
 from .weyl import SpectralModel
 
 GEOMETRIC_EXPONENTS = range(-3, 4)
@@ -429,7 +429,7 @@ def build_scaling_invariant_3d(alpha: float, m_gram=None,
         m_mat = orthonormal_m_gram(alpha, n)
     else:
         m_mat = as_matrix(m_gram)
-        if not is_hermitian(m_mat):
+        if not hermitian_within(m_mat):
             raise ValueError("m_gram must be Hermitian")
         if float(np.linalg.eigvalsh((m_mat + m_mat.conj().T) / 2).min()) < -1e-12:
             raise ValueError("m_gram must be positive semidefinite")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 REL_TOL = 1e-11
 ABS_TOL = 1e-14
@@ -23,6 +22,7 @@ def integrate_half_line(f: Callable[[float], float],
                         rel_tol: float = REL_TOL,
                         abs_tol: float = ABS_TOL) -> float:
     """Integrate a real-valued f over [0, inf)."""
+    from scipy.integrate import quad  # at first use: most work needs none
 
     def g(theta: float) -> float:
         c = np.cos(theta)

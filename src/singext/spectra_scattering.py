@@ -33,7 +33,7 @@ import numpy as np
 from .errors import PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily
 from .triplet import (POLE_RTOL, AdmissibleMatrix, CouplingMatrix, as_matrix,
-                      frozen_matrix, is_hermitian, within)
+                      frozen_matrix, hermitian_within, within)
 
 S_MATRIX_PROVENANCE_NOTE = (
     "closed form established for the orthonormal scaling-invariant model "
@@ -98,7 +98,7 @@ def is_nonnegative_realization(spec: RealizationSpec,
     """
     b = spec.B.matrix
     r = spec.R.matrix
-    if not is_hermitian(b, tol):
+    if not hermitian_within(b, tol):
         raise ValueError("nonnegativity criterion requires a Hermitian B")
     svals = np.linalg.svd(r, compute_uv=False)
     if within(svals[-1], tol, float(svals[0])):
@@ -187,7 +187,11 @@ def s_matrix_grid(coupling, z) -> np.ndarray:
     Returns an array of shape ``np.shape(z) + (n, n)``; raises
     ``PoleError`` when I + 2iz B is singular at any of the points.
     """
-    b = as_matrix(coupling)
+    return _cayley_grid(as_matrix(coupling), z)
+
+
+def _cayley_grid(b: np.ndarray, z) -> np.ndarray:
+    """``s_matrix_grid`` for a checked coupling matrix."""
     wb = (2j * np.asarray(z, dtype=complex))[..., None, None] * b
     eye = np.eye(b.shape[0])
     denom = eye + wb
@@ -204,11 +208,12 @@ def s_matrix_grid(coupling, z) -> np.ndarray:
 def s_matrix(coupling, z: complex, tol: float = 1e-12) -> SMatrix:
     """Evaluate S(z) = (I - 2iz B)(I + 2iz B)^-1 with status diagnostics."""
     z = complex(z)
-    s = s_matrix_grid(coupling, z)
+    b = as_matrix(coupling)
+    s = _cayley_grid(b, z)
     # Reductions of the one 2-D matrix: a stacked norm(..., axis=(-2, -1))
     # rounds differently in the last bit of the printed defect.
     defect = float(np.linalg.norm(s.conj().T @ s - np.eye(s.shape[0])))
     max_sv = float(np.linalg.svd(s, compute_uv=False)[0])
-    unitary = defect <= tol if (z.imag == 0.0 and is_hermitian(coupling)) else None
+    unitary = defect <= tol if (z.imag == 0.0 and hermitian_within(b)) else None
     contractive = max_sv <= 1.0 + tol if z.imag > 0.0 else None
     return SMatrix(z, s, defect, max_sv, unitary, contractive)

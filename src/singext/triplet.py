@@ -30,12 +30,12 @@ POLE_RTOL = 1e-14
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce a wrapper or array-like to a square complex matrix."""
+    """Coerce a wrapper or array-like to a checked square complex matrix."""
     raw = getattr(m, "matrix", m)
     arr = np.atleast_2d(np.asarray(raw, dtype=complex))
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -61,21 +61,24 @@ def within(x: float, tol: float, scale: float = 1.0) -> bool:
 
 def _frozen_vector(v) -> np.ndarray:
     arr = np.array(v, dtype=complex).ravel()
-    if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
     arr.setflags(write=False)
     return arr
 
 
-def hermitian_defect(m) -> float:
-    mat = as_matrix(m)
+def hermitian_defect(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat - mat.conj().T))
 
 
-def is_hermitian(m, tol: float = HERMITICITY_RTOL) -> bool:
-    """Hermitian within ``tol`` relative to the Frobenius norm."""
-    mat = as_matrix(m)
+def hermitian_within(mat: np.ndarray, tol: float = HERMITICITY_RTOL) -> bool:
+    """Hermitian within ``tol`` relative to the Frobenius norm; trusts ``mat``."""
     return within(hermitian_defect(mat), tol, float(np.linalg.norm(mat)))
+
+
+def is_hermitian(m, tol: float = HERMITICITY_RTOL) -> bool:
+    """``hermitian_within`` for any matrix input, checked by ``as_matrix``."""
+    return hermitian_within(as_matrix(m), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +115,7 @@ class AdmissibleMatrix:
 
     def __post_init__(self):
         mat = frozen_matrix(self.matrix)
-        if not is_hermitian(mat):
+        if not hermitian_within(mat):
             raise ValueError(
                 f"R must be Hermitian (defect {hermitian_defect(mat):.3e})")
         object.__setattr__(self, "matrix", mat)

@@ -8,12 +8,9 @@ is the rational expression
     Mhat(z) = (z + 1) (overlap + (z + 1) E(z)),
 
 and the Weyl function of the regularized triplet attached to R follows
-by the linear fractional transform M(z) = -(R + Mhat(z))^-1.  ``m_hat``
-exposes Mhat only for orthonormal channels (overlap = identity), the
-configuration in which the formula is classically quoted; ``weyl_m``
-evaluates through the overlap-aware form, which the same defect-basis
-computation yields and which the p-adic closed form confirms to
-near machine precision.
+by the linear fractional transform M(z) = -(R + Mhat(z))^-1.  ``weyl_m``
+evaluates through this overlap-aware form, which the p-adic closed form
+confirms to near machine precision.
 
 For a homogeneous regularization the Weyl function obeys
 
@@ -32,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PoleError, UnsupportedConfigurationError
+from .errors import PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily
-from .triplet import (POLE_RTOL, as_matrix, frozen_matrix, is_hermitian,
+from .triplet import (POLE_RTOL, as_matrix, frozen_matrix, hermitian_within,
                       within)
 
 
@@ -69,7 +66,7 @@ class SpectralModel:
         overlap = frozen_matrix(self.overlap)
         if overlap.shape[0] != self.n:
             raise ValueError("overlap dimension disagrees with channel count")
-        if not is_hermitian(overlap):
+        if not hermitian_within(overlap):
             raise ValueError("overlap must be Hermitian")
         if float(np.linalg.eigvalsh(overlap).min()) <= 0:
             raise ValueError("overlap must be positive definite")
@@ -117,21 +114,6 @@ def _m_hat_raw(model: SpectralModel, z: complex) -> np.ndarray:
     return w * (model.overlap + w * model.resolvent_at(z))
 
 
-def m_hat(model: SpectralModel, z: complex, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Weyl matrix of the defect-coordinate triplet, orthonormal channels only.
-
-    ``z`` must lie off the spectrum of the unperturbed operator.  Raises
-    ``UnsupportedConfigurationError`` when the overlap deviates from the
-    identity beyond ``tol``; models with non-orthonormal channels must
-    go through ``weyl_m`` (overlap-aware) or supply a closed form.
-    """
-    defect = float(np.linalg.norm(model.overlap - np.eye(model.n)))
-    if defect > tol:
-        raise UnsupportedConfigurationError(
-            f"channels are not orthonormal (overlap defect {defect:.3e})")
-    return _m_hat_raw(model, z)
-
-
 def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     """Weyl matrix M(z) = -(R + Mhat(z))^-1 of the regularized triplet.
 
@@ -159,9 +141,8 @@ def check_weyl_homogeneity(weyl_fn: Callable[[complex], np.ndarray],
     return float(num / max(np.linalg.norm(m_z), 1e-300))
 
 
-def hermitian_imag_min_eig(mat) -> float:
-    """Smallest eigenvalue of the Herglotz part (M - M*)/(2i)."""
-    m = as_matrix(mat)
+def hermitian_imag_min_eig(m: np.ndarray) -> float:
+    """Smallest eigenvalue of the Herglotz part (M - M*)/(2i) of a checked matrix."""
     return float(np.linalg.eigvalsh((m - m.conj().T) / 2j).min())
 
 
@@ -184,19 +165,20 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
                               num: int = 2000) -> list[float]:
     """Roots of det(B - M(x)) on an interval of the negative axis.
 
-    Scans ``num`` grid points for sign changes of the (real) determinant
-    and refines each bracket by bisection to width ``tol``.  Hermitian B
-    only: the real-axis eigenvalue search is meaningful for self-adjoint
+    Scans ``num`` >= 2 grid points for sign changes of the (real)
+    determinant and bisects each bracket to width ``tol`` > 0.  Hermitian
+    B only: the real-axis eigenvalue search is meaningful for self-adjoint
     realizations.  A bracket whose refined midpoint does not reduce the
-    determinant magnitude (a pole crossing rather than a root) is
-    discarded.
+    determinant magnitude (a pole crossing rather than a root) is dropped.
     """
     b = as_matrix(coupling)
-    if not is_hermitian(b):
+    if not hermitian_within(b):
         raise ValueError("eigenvalue search requires a Hermitian B")
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not lo < hi < 0:
         raise ValueError("search interval must satisfy lo < hi < 0")
+    if num < 2 or not 0.0 < tol < np.inf:
+        raise ValueError(f"need num >= 2 and a finite tol above 0, got {num!r}, {tol!r}")
 
     def det_val(x: float) -> float:
         d = complex(np.linalg.det(b - weyl_m(model, reg, x).matrix))

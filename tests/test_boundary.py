@@ -1,0 +1,78 @@
+"""Matrices are checked once, where they enter the package.
+
+Every public entry point that takes a matrix rejects a non-square one
+with ``DimensionMismatchError`` and a NaN or infinite entry with
+``ValueError``; functions behind these entry points trust the checked
+arrays they are handed.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import singext as sx
+from singext.errors import DimensionMismatchError
+
+COORDS = sx.BoundaryCoordinates([1.0], [0.5])
+
+# name -> call with the matrix under test in the named role; the other
+# arguments are valid, for the one-channel p-adic model
+ENTRY_POINTS = {
+    "weyl_m (R)": lambda m, spec, r: sx.weyl_m(spec.spectral, m, 0.5j),
+    "krein_correction (B)": lambda m, spec, r: sx.krein_correction([[1.0j]], m),
+    "find_negative_eigenvalues (B)": lambda m, spec, r: sx.find_negative_eigenvalues(
+        spec.spectral, r, m, (-3.0, -0.3), num=4),
+    "s_matrix": lambda m, spec, r: sx.s_matrix(m, 0.4),
+    "s_matrix_grid": lambda m, spec, r: sx.s_matrix_grid(m, np.array([0.4, 0.4 + 0.9j])),
+    "is_selfadjoint_realization": lambda m, spec, r: sx.is_selfadjoint_realization(m),
+    "in_realization_domain (B)": lambda m, spec, r: sx.in_realization_domain(
+        COORDS, m, r),
+    "in_realization_domain (R)": lambda m, spec, r: sx.in_realization_domain(
+        COORDS, [[0.0]], m),
+    "to_regularized_triplet": lambda m, spec, r: sx.to_regularized_triplet(COORDS, m),
+    "residual_homogeneous": lambda m, spec, r: sx.residual_homogeneous(
+        spec.family, spec.gram, m),
+    "CouplingMatrix": lambda m, spec, r: sx.CouplingMatrix(m),
+    "AdmissibleMatrix": lambda m, spec, r: sx.AdmissibleMatrix(m),
+}
+
+
+# name -> (matrix, exception, message fragment); a NaN or infinity in
+# either part of an entry is refused by the same rule
+BAD_MATRICES = {
+    "non-square": (np.ones((1, 2)), DimensionMismatchError, "square"),
+    "nan": (np.array([[np.nan]]), ValueError, "finite"),
+    "-inf": (np.array([[-np.inf]]), ValueError, "finite"),
+    "imaginary inf": (np.array([[complex(1.0, np.inf)]]), ValueError, "finite"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_MATRICES)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_point_rejects_bad_matrix(entry, bad, padic, padic_r):
+    matrix, error, fragment = BAD_MATRICES[bad]
+    with pytest.raises(error, match=fragment):
+        ENTRY_POINTS[entry](matrix, padic, padic_r)
+
+
+def test_scipy_integrate_loads_at_the_first_quadrature():
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import singext",
+        "from singext import cli",
+        "assert 'scipy.integrate' not in sys.modules",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.run(['verify', '--criteria', '1']) == 0",
+        "assert 'scipy.integrate' not in sys.modules",
+        "singext.build_point_interaction(3)",
+        "assert 'scipy.integrate' in sys.modules",
+    ])
+    src = pathlib.Path(sx.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr

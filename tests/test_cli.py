@@ -304,6 +304,28 @@ def test_missing_required_flag_exits_2(capsys):
     assert out == ""
 
 
+SPECTRUM_ARGS = ["spectrum", "--kind", "PAdicVladimirov", "--p", "2", "--alpha",
+                 "1.5", "--B", "[[-0.57]]", "--interval=-3,-0.3"]
+
+
+@pytest.mark.parametrize("argv", [
+    SPECTRUM_ARGS + ["--num", "0"],
+    SPECTRUM_ARGS + ["--num", "1"],
+    SPECTRUM_ARGS + ["--tol", "nan"],
+    ["solve-r", "--kind", "OneDimDeltaDeltaPrime", "--tol", "nan"],
+    ["sweep", "--kind", "ScalingInvariant3D", "--alpha", "1.5",
+     "--range=-1,1", "--count", "3", "--tol=-1e-10"],
+    ["smatrix", "--B", "[[0]]", "--z", "1,0", "--tol", "inf"],
+    ["smatrix", "--B", "[[0]]", "--z", "1,0", "--tol", "0"],
+], ids=" ".join)
+def test_meaningless_tol_or_grid_size_exits_2(capsys, argv):
+    # a scan of fewer than 2 points printed [] and a NaN tolerance printed
+    # the invalid JSON token NaN, both with a result that meant nothing
+    code, out = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_model_info_without_model_exits_2(capsys):
     code, payload = invoke_json(capsys, "model", "info")
     assert code == 2

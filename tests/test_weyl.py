@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import singext as sx
-from singext.errors import PoleError, UnsupportedConfigurationError
+from singext.errors import PoleError
 from singext.weyl import SpectralModel, hermitian_imag_min_eig
 
 LAMBDA0 = 2.0
@@ -17,36 +17,6 @@ def point_mass():
         overlap=np.eye(1),
         psi_in_Hminus1=(True,),
     )
-
-
-def test_m_hat_point_mass_formula(point_mass):
-    # expanding by hand: (z+1)(1 + (z+1)/(lambda0 - z))
-    for z in (0.3 + 0.7j, -2.5, 1.0 - 0.4j):
-        expected = (z + 1) * (1 + (z + 1) / (LAMBDA0 - z))
-        got = sx.m_hat(point_mass, z)[0, 0]
-        assert got == pytest.approx(expected, rel=1e-14)
-
-
-def test_m_hat_vanishes_at_minus_one(point_mass, scaling):
-    assert sx.m_hat(point_mass, -1.0)[0, 0] == 0.0
-    np.testing.assert_allclose(sx.m_hat(scaling.spectral, -1.0),
-                               np.zeros((1, 1)), atol=1e-14)
-
-
-def test_m_hat_conjugate_symmetry(point_mass):
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
-        up = sx.m_hat(point_mass, z)
-        down = sx.m_hat(point_mass, np.conj(z))
-        np.testing.assert_allclose(down, up.conj().T, atol=1e-13)
-
-
-def test_m_hat_rejects_non_orthonormal(one_dim, padic):
-    with pytest.raises(UnsupportedConfigurationError):
-        sx.m_hat(one_dim.spectral, 1.0j)
-    with pytest.raises(UnsupportedConfigurationError):
-        sx.m_hat(padic.spectral, 1.0j)
 
 
 def test_weyl_m_matches_padic_series(padic, padic_r):
@@ -73,7 +43,8 @@ def test_weyl_m_one_dim_matches_hand_moebius_algebra(one_dim):
         assert m[0, 1] == 0.0 and m[1, 0] == 0.0
 
 
-def test_weyl_m_point_interactions_match_hand_moebius_algebra(point_models):
+def test_weyl_m_point_interactions_match_hand_moebius_algebra(point_models,
+                                                              point_mass):
     # the same collapse gives M = -2 sqrt(-z) for d = 1 (r = 1/2) and
     # M = 4 pi / sqrt(-z) for d = 3 (r = -1/(4 pi))
     for d, formula in ((1, lambda u: -2 * u), (3, lambda u: 4 * np.pi / u)):
@@ -83,6 +54,12 @@ def test_weyl_m_point_interactions_match_hand_moebius_algebra(point_models):
             u = np.sqrt(-complex(z))
             got = sx.weyl_m(spec.spectral, r, z).matrix[0, 0]
             assert got == pytest.approx(formula(u), rel=1e-10)
+    # with R = 0, M = -Mhat^-1, and for the point mass by hand
+    # Mhat(z) = (z+1)(1 + (z+1)/(lambda0 - z))
+    for z in (0.3 + 0.7j, -2.5, 1.0 - 0.4j):
+        expected = -1 / ((z + 1) * (1 + (z + 1) / (LAMBDA0 - z)))
+        got = sx.weyl_m(point_mass, np.zeros((1, 1)), z).matrix[0, 0]
+        assert got == pytest.approx(expected, rel=1e-14)
 
 
 def test_weyl_m_pole_raises(point_mass):
@@ -91,10 +68,15 @@ def test_weyl_m_pole_raises(point_mass):
         sx.weyl_m(point_mass, np.array([[-1.5]]), 0.0)
 
 
-def test_weyl_m_large_r_limit(padic):
+def test_weyl_m_large_r_limit(padic, point_mass, scaling, scaling_r):
     big = np.array([[1e8]])
     ev = sx.weyl_m(padic.spectral, big, 0.5j)
     assert ev.matrix[0, 0] == pytest.approx(-1e-8, rel=1e-6)
+    # Mhat vanishes at -1, so there M = -R^-1 for every R, not only large R
+    for spectral, r in ((point_mass, np.array([[0.7]])),
+                        (scaling.spectral, scaling_r)):
+        np.testing.assert_array_equal(sx.weyl_m(spectral, r, -1.0).matrix,
+                                      -np.linalg.inv(r))
 
 
 def test_weyl_homogeneity_closed_form(padic):
@@ -143,13 +125,15 @@ def test_weyl_homogeneity_through_resolvent_route(one_dim, scaling, scaling_r,
                                                  z, t) <= 1e-9
 
 
-def test_weyl_conjugate_symmetry_and_herglotz(padic, padic_r, scaling, scaling_r):
+def test_weyl_conjugate_symmetry_and_herglotz(padic, padic_r, scaling, scaling_r,
+                                              point_mass):
     rng = np.random.default_rng(8)
-    for spec, r in ((padic, padic_r), (scaling, scaling_r)):
+    for spectral, r in ((padic.spectral, padic_r), (scaling.spectral, scaling_r),
+                        (point_mass, np.zeros((1, 1)))):
         for _ in range(10):
             z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
-            m_up = sx.weyl_m(spec.spectral, r, z).matrix
-            m_down = sx.weyl_m(spec.spectral, r, np.conj(z)).matrix
+            m_up = sx.weyl_m(spectral, r, z).matrix
+            m_down = sx.weyl_m(spectral, r, np.conj(z)).matrix
             np.testing.assert_allclose(m_down, m_up.conj().T, atol=1e-12)
             assert hermitian_imag_min_eig(m_up) >= -1e-12
 
@@ -191,6 +175,22 @@ def test_find_requires_negative_interval(padic, padic_r):
     with pytest.raises(ValueError):
         sx.find_negative_eigenvalues(padic.spectral, padic_r,
                                      [[0.0]], (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("num", [0, 1])
+def test_find_requires_two_grid_points(padic, padic_r, num):
+    # one grid point has no bracket; it printed [] where num = 2 finds -0.98
+    with pytest.raises(ValueError, match="num >= 2"):
+        sx.find_negative_eigenvalues(padic.spectral, padic_r, [[-0.57]],
+                                     (-3.0, -0.3), num=num)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+def test_find_requires_finite_positive_tol(padic, padic_r, tol):
+    # a NaN tol skipped the bisection and returned the bracket midpoint
+    with pytest.raises(ValueError, match="finite tol above 0"):
+        sx.find_negative_eigenvalues(padic.spectral, padic_r, [[-0.57]],
+                                     (-3.0, -0.3), tol=tol, num=10)
 
 
 def test_krein_correction_zero_coupling(padic, padic_r):
