@@ -3,7 +3,7 @@ import pytest
 
 import singext as sx
 from singext.errors import PoleError
-from singext.weyl import SpectralModel, hermitian_imag_min_eig
+from singext.weyl import SpectralModel, _m_hat_raw, hermitian_imag_min_eig
 
 LAMBDA0 = 2.0
 
@@ -17,6 +17,31 @@ def point_mass():
         overlap=np.eye(1),
         psi_in_Hminus1=(True,),
     )
+
+
+# Mhat(z) = (z+1)(overlap + (z+1)E(z)) is no longer public; weyl_m builds
+# M(z) = -(R + Mhat(z))^-1 from it, so its values are pinned here directly.
+def test_m_hat_point_mass_formula(point_mass):
+    # expanding by hand: (z+1)(1 + (z+1)/(lambda0 - z))
+    for z in (0.3 + 0.7j, -2.5, 1.0 - 0.4j):
+        expected = (z + 1) * (1 + (z + 1) / (LAMBDA0 - z))
+        got = _m_hat_raw(point_mass, z)[0, 0]
+        assert got == pytest.approx(expected, rel=1e-14)
+
+
+def test_m_hat_vanishes_at_minus_one(point_mass, scaling):
+    assert _m_hat_raw(point_mass, -1.0)[0, 0] == 0.0
+    np.testing.assert_allclose(_m_hat_raw(scaling.spectral, -1.0),
+                               np.zeros((1, 1)), atol=1e-14)
+
+
+def test_m_hat_conjugate_symmetry(point_mass):
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
+        up = _m_hat_raw(point_mass, z)
+        down = _m_hat_raw(point_mass, np.conj(z))
+        np.testing.assert_allclose(down, up.conj().T, atol=1e-13)
 
 
 def test_weyl_m_matches_padic_series(padic, padic_r):
