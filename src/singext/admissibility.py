@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .jsonio import encode_complex, encode_matrix
-from .symmetry import DEFAULT_TOL, SymmetryFamily
+from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
 from .triplet import (as_matrix, frozen_matrix, hermitian_defect,
                       hermitian_within, within)
 
@@ -156,6 +156,7 @@ def solve_homogeneous_R(fam: SymmetryFamily, gram: GramFunction,
     otherwise the assembled matrix must be Hermitian and is returned as
     ``UniqueSolution``.
     """
+    check_tol(tol)
     n = fam.n
     if gram.n != n:
         raise ValueError(f"Gram dimension {gram.n} != family channels {n}")

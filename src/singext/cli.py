@@ -35,7 +35,7 @@ from .spectra_scattering import (S_MATRIX_PROVENANCE_NOTE, RealizationSpec,
                                  is_homogeneous_realization,
                                  is_nonnegative_realization, s_matrix,
                                  spectrum_ladder)
-from .symmetry import DEFAULT_TOL
+from .symmetry import DEFAULT_TOL, check_tol
 from .triplet import HERMITICITY_RTOL, AdmissibleMatrix, CouplingMatrix
 from .weyl import find_negative_eigenvalues, weyl_m
 
@@ -56,10 +56,19 @@ def _load_json_arg(text: str):
 
 
 def tolerance(text: str) -> float:
-    """argparse type of ``--tol``: a finite number above 0."""
-    if 0.0 < float(text) < np.inf:
+    """argparse type of ``--tol``: a finite number above 0 (``check_tol``)."""
+    value = float(text)
+    try:
+        return check_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def ladder_ratio(text: str) -> float:
+    """argparse type of ``ladder --p``: a finite number."""
+    if np.isfinite(float(text)):
         return float(text)
-    raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
 
 
 def grid_size(text: str) -> int:
@@ -144,7 +153,7 @@ def _cmd_weyl(args) -> int:
         reg = decode_matrix(_load_json_arg(args.R))
     else:
         reg = _solve_unique_r(spec, args.tol)
-    z = decode_complex(args.z)
+    z = decode_complex(args.z, "z")
     evaluation = weyl_m(spec.spectral, reg, z)
     out = {"z": [z.real, z.imag], "M": encode_matrix(evaluation.matrix),
            "closed_form_residual": evaluation.closed_form_residual}
@@ -184,7 +193,7 @@ def _cmd_nonneg(args) -> int:
 
 def _cmd_smatrix(args) -> int:
     coupling = decode_matrix(_load_json_arg(args.B))
-    z = decode_complex(args.z)
+    z = decode_complex(args.z, "z")
     result = s_matrix(coupling, z, args.tol)
     out = {"z": [z.real, z.imag], "S": encode_matrix(result.matrix),
            "unitary": result.unitary, "contractive": result.contractive,
@@ -197,7 +206,7 @@ def _cmd_smatrix(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    lam = decode_complex(args.lambda0)
+    lam = decode_complex(args.lambda0, "lambda")
     a_str, b_str = args.n_range.split(",")
     points = spectrum_ladder(lam, args.p, (int(a_str), int(b_str)))
     _emit("ladder", {"lambda": [lam.real, lam.imag], "p": args.p,
@@ -305,7 +314,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = command("ladder", _cmd_ladder, "geometric spectrum ladder")
     sub.add_argument("--lambda", dest="lambda0", required=True,
                      help="base spectral point as 're,im'")
-    sub.add_argument("--p", type=float, required=True, help="ladder ratio")
+    sub.add_argument("--p", type=ladder_ratio, required=True, help="ladder ratio")
     sub.add_argument("--range", dest="n_range", required=True,
                      help="inclusive integer range 'a,b'")
     sub = command("sweep", _cmd_sweep, "CSV sweep of a scalar coupling",

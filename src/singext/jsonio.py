@@ -8,6 +8,7 @@ inputs like ``[[0.5, 0], [0, -0.5]]`` work on the command line.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 
 import numpy as np
@@ -27,22 +28,23 @@ def encode_matrix(mat) -> list[list[list[float]]]:
     return [[encode_complex(v) for v in row] for row in m]
 
 
-def decode_complex(obj) -> complex:
-    """Decode a scalar given as number, ``[re, im]`` or ``"re,im"`` string."""
-    if isinstance(obj, str):
-        parts = obj.split(",")
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-        raise ValueError(f"cannot parse complex scalar from {obj!r}")
-    if isinstance(obj, numbers.Number):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
+def decode_complex(obj, name: str = "complex scalar") -> complex:
+    """Decode a finite scalar given as number, ``[re, im]`` or ``"re,im"``
+    string; ``name`` says in errors what the scalar is."""
+    if isinstance(obj, str) and len(obj.split(",")) in (1, 2):
+        parts = [float(v) for v in obj.split(",")]
+        z = complex(parts[0], parts[1] if len(parts) == 2 else 0.0)
+    elif isinstance(obj, numbers.Number):
+        z = complex(obj)
+    elif isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
         isinstance(v, numbers.Number) for v in obj
     ):
-        return complex(float(obj[0]), float(obj[1]))
-    raise ValueError(f"cannot parse complex scalar from {obj!r}")
+        z = complex(float(obj[0]), float(obj[1]))
+    else:
+        raise ValueError(f"cannot parse {name} from {obj!r}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} must be finite, got {obj!r}")
+    return z
 
 
 def _nesting_depth(obj) -> int:

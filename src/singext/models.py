@@ -17,7 +17,8 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
     The free Laplacian in d dimensions with a single delta channel,
     scalings U_t f(x) = t^(d/2) f(tx), p(t) = t^-2, xi(t) = t^(-d/2).
     Normalization pinned in Fourier form, hhat(y) = (2pi)^(-d/2) /
-    (1 + |y|^2); Gram and resolvent data by radial quadrature.
+    (1 + |y|^2); Gram data by radial quadrature, the resolvent data
+    E(z) by the closed form of ``radial_resolvent_closed`` at nu = d/2.
 
 ``PAdicVladimirov`` (prime p, exponent alpha > 1/2)
     Fractional p-adic differentiation of order alpha with a delta
@@ -41,16 +42,22 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
     predicted unique regularization R = -c_alpha (m_i, m_j) attached.
     For orthonormal channels ((m_j, m_j) normalized against the squared
     defect norm integral) the scalar ratio beta_alpha of the two
-    quadratures is attached, beta_3/2 = 2.
+    quadratures is attached, beta_3/2 = 2.  E(z) is the closed form of
+    ``radial_resolvent_closed`` at nu = alpha.
 
 Sample grids default to the geometric set {2^k : k = -3..3} (in the
 p-adic case {p^m : m = -3..3}), enough points to expose inconsistency
-in the homogeneity system.  All improper integrals go through adaptive
-quadrature on the compactified half line.
+in the homogeneity system.  The resolvent data E(z) of the point and
+scaling models is a Stieltjes transform of a power with an elementary
+closed form; ``radial_resolvent_integral`` keeps its quadrature as the
+independent check.  The build-time integrals (Gram samples, overlaps,
+c_alpha, the defect norm) go through adaptive quadrature on the
+compactified half line.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -59,7 +66,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .admissibility import GramFunction
-from .errors import ConvergenceError
+from .errors import ConvergenceError, PoleError
 from .quadrature import integrate_half_line, integrate_half_line_complex
 from .symmetry import SymmetryFamily
 from .triplet import as_matrix, frozen_matrix, hermitian_within
@@ -206,9 +213,78 @@ def point_interaction_overlap(d: int) -> float:
     return (2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d] * integral
 
 
+TAYLOR_RADIUS = 0.25
+
+
+def _expm1(u: complex) -> complex:
+    """e^u - 1 for complex u, without cancellation when |u| is small."""
+    half = math.sin(0.5 * u.imag)
+    return complex(math.expm1(u.real) * math.cos(u.imag) - 2.0 * half * half,
+                   math.exp(u.real) * math.sin(u.imag))
+
+
+def radial_resolvent_closed(nu: float, z: complex) -> complex:
+    """I_nu(z) = int_0^inf r^(2nu-1) / ((1+r^2)^2 (r^2 - z)) dr, 0 < nu < 2.
+
+    With w = -z on the principal branch and K = pi / sin(pi nu),
+
+        I = (K/2) (w^(nu-1) - 1 - (nu-1)(w-1)) / (w-1)^2     (nu != 1),
+        I = ((w-1) - log w) / (2 (w-1)^2)                     (nu = 1),
+
+    where w^(nu-1) - 1 is the expm1 of (nu-1) log w.  Real z > 0 gives
+    the boundary value I(z + i0) from the upper half-plane.  Within
+    ``TAYLOR_RADIUS`` of z = -1, where these forms cancel, the Taylor
+    series in w - 1 is summed instead.  At z = 0 the integral is finite
+    only for nu > 1; otherwise ``PoleError`` is raised.
+    """
+    if not 0.0 < nu < 2.0:
+        raise ValueError(f"the integral converges only for 0 < nu < 2, got {nu!r}")
+    z = complex(z)
+    s = nu - 1.0
+    if s:
+        # K/2, with the sine's argument reduced to [-pi/2, pi/2] so that it
+        # keeps its relative accuracy as nu nears 1 or 2.
+        half_k = -0.5 * math.pi / math.sin(
+            math.pi * (s if abs(s) <= 0.5 else math.copysign(1.0, s) - s))
+    if z.imag == 0.0 and z.real <= 0.0:
+        w, log, expm1 = -z.real, math.log, math.expm1
+    else:
+        # -0.0 puts real z > 0 on the upper rim of the cut.
+        w, log, expm1 = complex(-z.real, -z.imag if z.imag else -0.0), cmath.log, _expm1
+    x = w - 1.0
+    if abs(x) < TAYLOR_RADIUS:
+        # The coefficients (K/2) binom(nu-1, k) of x^(k-2), (-1)^k / (2k) at
+        # nu = 1, shrink in modulus with k: the tail is below |term| / 3.
+        coeff = half_k * s * (s - 1.0) / 2.0 if s else 0.25
+        term = total = coeff
+        power, k = 1.0, 2
+        while abs(term) > 1e-17 * abs(total):
+            coeff *= (s - k) / (k + 1.0)
+            power *= x
+            k += 1
+            term = coeff * power
+            total += term
+        return complex(total)
+    if w == 0.0:
+        if s <= 0.0:
+            raise PoleError(f"the resolvent integral diverges at z = 0 for nu = {nu!r}")
+        return complex(half_k * (s - 1.0))
+    log_w = log(w)
+    if not s:
+        return complex((x - log_w) / (2.0 * x * x))
+    if s > 0.5:
+        # w^s - 1 - s x as w (w^(s-1) - 1) + (1-s) x, two terms that vanish
+        # as nu -> 2 instead of three that cancel.
+        num = w * expm1((s - 1.0) * log_w) + (1.0 - s) * x
+    else:
+        num = expm1(s * log_w) - s * x
+    return complex(half_k * num / (x * x))
+
+
 def radial_resolvent_integral(k: float, z: complex) -> complex:
     """Quadrature of r^k/((1+r^2)^2 (r^2 - z)) over the half line.
 
+    The independent check of ``radial_resolvent_closed`` (k = 2 nu - 1).
     Real z < 0 takes one real quadrature, any other z the real and
     imaginary parts separately.
     """
@@ -222,8 +298,8 @@ def radial_resolvent_integral(k: float, z: complex) -> complex:
 
 
 def point_interaction_resolvent(d: int, z: complex) -> complex:
-    """((A0 - z)^-1 h, h) for the delta channel in d dims, by quadrature."""
-    integral = radial_resolvent_integral(d - 1, z)
+    """((A0 - z)^-1 h, h) for the delta channel in d dims, in closed form."""
+    integral = radial_resolvent_closed(d / 2.0, z)
     return (2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d] * integral
 
 
@@ -390,8 +466,8 @@ def beta_alpha(alpha: float) -> float:
 
 
 def e_alpha(alpha: float, z: complex) -> complex:
-    """Resolvent Gram integral of y^(2a-1)/((1+y^2)^2 (y^2 - z))."""
-    return radial_resolvent_integral(2.0 * alpha - 1.0, z)
+    """Resolvent Gram integral of y^(2a-1)/((1+y^2)^2 (y^2 - z)), in closed form."""
+    return radial_resolvent_closed(alpha, z)
 
 
 def gram_limit_at_one(alpha: float) -> float:

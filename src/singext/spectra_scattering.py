@@ -151,9 +151,12 @@ def spectrum_ladder(lambda0: complex, p_t0: float,
 
     The ladder of spectral points implied for homogeneous realizations;
     it accumulates at 0, consistent with 0 in the essential spectrum.
-    Degenerate ratios (p_t0 = 0 or 1) are rejected.
+    Degenerate ratios (p_t0 = 0 or 1) and ratios that are not finite
+    are rejected.
     """
     ratio = float(p_t0)
+    if not np.isfinite(ratio):
+        raise ValueError(f"ladder ratio must be finite, got {ratio!r}")
     if ratio == 0.0:
         raise ValueError("ladder ratio must be nonzero")
     if ratio == 1.0:

@@ -32,6 +32,16 @@ from .errors import InsufficientDataError
 DEFAULT_TOL = 1e-10
 
 
+def check_tol(tol: float) -> float:
+    """The rule of every tolerance argument: a finite number above 0.
+
+    Returns ``tol``; NaN, infinity, 0 or below raise ``ValueError``.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"need a finite tol above 0, got {tol!r}")
+    return tol
+
+
 def _freeze(mapping: Mapping[float, float]) -> Mapping[float, float]:
     return MappingProxyType({float(k): float(v) for k, v in mapping.items()})
 
@@ -133,8 +143,7 @@ def validate_family(fam: SymmetryFamily, tol: float = DEFAULT_TOL) -> Validation
     modulus bounds are flagged only when |xi| falls outside the closed
     interval by more than ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     found: list[Violation] = []
     sample_set = set(fam.sample_points)
     for t in fam.sample_points:
@@ -194,6 +203,7 @@ def classify_power_law(samples: Iterable[tuple[float, float]],
     outside the interval boundaries support no singular invariant
     element, and are classified accordingly.
     """
+    check_tol(tol)
     pts = [(float(t), float(x)) for t, x in samples]
     for t, x in pts:
         if t <= 0 or x <= 0:

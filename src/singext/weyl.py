@@ -24,13 +24,14 @@ Krein's formula.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import PoleError
-from .symmetry import DEFAULT_TOL, SymmetryFamily
+from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
 from .triplet import (POLE_RTOL, as_matrix, frozen_matrix, hermitian_within,
                       within)
 
@@ -118,14 +119,19 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     """Weyl matrix M(z) = -(R + Mhat(z))^-1 of the regularized triplet.
 
     A singular R + Mhat(z) raises ``PoleError``: the requested point is
-    an eigenvalue of the regularizing extension.  When the model carries
-    a closed form, the returned evaluation reports the relative
-    discrepancy against it on access.
+    an eigenvalue of the regularizing extension.  A real z > 0 lies on
+    the continuous spectrum; the closed-form backends (scaling and point
+    interactions) return the boundary value M(z + i0) from the upper
+    half-plane there.  A z that is not finite raises ``ValueError``.
+    When the model carries a closed form, the returned evaluation
+    reports the relative discrepancy against it on access.
     """
     r = as_matrix(reg)
     if r.shape[0] != model.n:
         raise ValueError("R dimension disagrees with the model")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     m = -_invert_or_pole(r + _m_hat_raw(model, z), "R + Mhat(z)")
     return WeylEvaluation(z, m, model.closed_form_M)
 
@@ -177,8 +183,9 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not lo < hi < 0:
         raise ValueError("search interval must satisfy lo < hi < 0")
-    if num < 2 or not 0.0 < tol < np.inf:
-        raise ValueError(f"need num >= 2 and a finite tol above 0, got {num!r}, {tol!r}")
+    if num < 2:
+        raise ValueError(f"need num >= 2, got {num!r}")
+    check_tol(tol)
 
     def det_val(x: float) -> float:
         d = complex(np.linalg.det(b - weyl_m(model, reg, x).matrix))

@@ -76,3 +76,21 @@ def test_scipy_integrate_loads_at_the_first_quadrature():
                           text=True, check=False,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
+
+
+# A tolerance is a finite number above 0; NaN in particular made every
+# comparison false, so these returned verdicts that meant nothing.
+TOL_ENTRY_POINTS = {
+    "validate_family": lambda tol, spec: sx.validate_family(spec.family, tol),
+    "classify_power_law": lambda tol, spec: sx.classify_power_law(
+        [(2.0, 0.5), (4.0, 0.25)], tol),
+    "solve_homogeneous_R": lambda tol, spec: sx.solve_homogeneous_R(
+        spec.family, spec.gram, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+@pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
+def test_tolerance_must_be_finite_and_above_zero(entry, tol, one_dim):
+    with pytest.raises(ValueError, match="finite tol above 0"):
+        TOL_ENTRY_POINTS[entry](tol, one_dim)

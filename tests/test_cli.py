@@ -341,3 +341,39 @@ def test_python_dash_m_runs_the_cli(capsys):
     _, expected = invoke(capsys, "model", "list")
     assert proc.returncode == 0
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
+def test_ladder_ratio_that_is_not_finite_exits_2(capsys, ratio):
+    # a NaN ratio printed the invalid JSON token NaN and exited 0
+    code, out = invoke(capsys, "ladder", "--lambda=-1,0", f"--p={ratio}",
+                       "--range=-2,2")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("flags", [["--z", "nan,0"], ["--z", "0.5,inf"]])
+def test_weyl_z_that_is_not_finite_exits_2_naming_z(capsys, flags):
+    # a NaN z reached the backend, whose resolvent matrix was then blamed
+    code, payload = invoke_json(capsys, "weyl", "--kind", "OneDimDeltaDeltaPrime",
+                                *flags)
+    assert code == 2
+    assert payload["error"].startswith("z must be finite")
+
+
+def test_weyl_nan_z_leaves_no_warning_on_stderr():
+    src = pathlib.Path(sx.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "singext", "weyl", "--kind",
+                           "OneDimDeltaDeltaPrime", "--z", "nan,0"],
+                          capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert "z must be finite" in proc.stdout
+    assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("obj", ["nan,0", "1,-inf", "inf", float("nan"),
+                                 complex(0.0, float("inf")), [1.0, float("nan")]])
+def test_decode_complex_refuses_parts_that_are_not_finite(obj):
+    with pytest.raises(ValueError, match="must be finite"):
+        decode_complex(obj)

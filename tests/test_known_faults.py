@@ -23,8 +23,6 @@ def test_double_eigenvalue_is_found():
     assert any(abs(x + 1.0) <= 1e-8 for x in roots), roots
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the quadrature behind "
-                   "e_alpha returns wrong values next to the spectrum, without error")
 @pytest.mark.parametrize("z", [1.0 + 1e-12j, -1e-14 + 0j])
 def test_weyl_m_next_to_spectrum_is_right_or_refused(scaling, scaling_r, z):
     exact = 1.0 / (2.0 * np.sqrt(-z))  # orthonormal scaling model, alpha = 3/2

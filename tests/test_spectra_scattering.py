@@ -238,3 +238,9 @@ def test_smatrix_grid_pole_at_one_point():
     z = np.array([[1.0 + 1.0j, 0.5j], [2.0, -1.0 + 0.5j]])
     with pytest.raises(PoleError, match="singular at the requested point"):
         sx.s_matrix_grid(np.array([[1.0]]), z)
+
+
+@pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -float("inf")])
+def test_ladder_refuses_a_ratio_that_is_not_finite(ratio):
+    with pytest.raises(ValueError, match="finite"):
+        sx.spectrum_ladder(-1.0, ratio, (-2, 2))

@@ -252,3 +252,13 @@ def test_spectral_model_validates_overlap():
     with pytest.raises(ValueError):
         SpectralModel(1, lambda z: np.eye(1), np.array([[0.0, 1.0], [0.0, 0.0]]),
                       (True,))
+
+
+@pytest.mark.parametrize("z", [complex(float("nan"), 0.0), complex(0.5, float("inf")),
+                               float("-inf")])
+def test_weyl_m_refuses_z_that_is_not_finite_before_the_backend(z):
+    calls = []
+    model = SpectralModel(1, lambda w: calls.append(w) or np.eye(1), np.eye(1), (True,))
+    with pytest.raises(ValueError, match="z must be finite"):
+        sx.weyl_m(model, [[0.0]], z)
+    assert calls == []
