@@ -24,13 +24,13 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
     Fractional p-adic differentiation of order alpha with a delta
     channel, dilations U_t f(x) = t^(-1/2) f(tx) over t in {p^m},
     p(t) = t^alpha, xi(t) = sqrt(t).  The delta expands over a wavelet
-    eigenbasis with per-scale eigenvalue p^(alpha(1-N)) and coefficient
-    p^(-N/2) / (p^(alpha(1-N)) + 1), p-1 wavelets per scale; U_{p^m}
-    shifts the scale index by m, so Gram and resolvent data are
-    bilateral series in the squared coefficients.  For alpha > 1 the
-    Weyl function has the closed series form
-    M(z) = -1 / ((p-1) sum_N p^-N / (p^(alpha(1-N)) - z)), attached for
-    cross-checks (the series diverges for alpha <= 1).
+    eigenbasis with eigenvalue lambda_N = p^(alpha(1-N)) and coefficient
+    c_N = p^(-N/2) / (lambda_N + 1) at scale N, p-1 wavelets per scale;
+    U_{p^m} shifts N by m: Gram data are series in c_N c_(N+m), and
+    E(z) = (p-1) sum_N c_N^2 / (lambda_N - z).  For alpha > 1 the closed
+    series M(z) = -1 / ((p-1) sum_N p^-N / (lambda_N - z)) is attached
+    for cross-checks.  Both z-series run over arrays built once per
+    (p, alpha) and check a tail bound at every z.
 
 ``ScalingInvariant3D`` (alpha in (1, 2), channel Gram (m_i, m_j))
     The free Laplacian in three dimensions with n channels built from
@@ -41,23 +41,23 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
     with the removable t = 1 singularity filled by alpha - 1, and the
     predicted unique regularization R = -c_alpha (m_i, m_j) attached.
     For orthonormal channels ((m_j, m_j) normalized against the squared
-    defect norm integral) the scalar ratio beta_alpha of the two
-    quadratures is attached, beta_3/2 = 2.  E(z) is the closed form of
-    ``radial_resolvent_closed`` at nu = alpha.
+    defect norm) beta_alpha = c_alpha / norm = 1 / (alpha - 1) is
+    attached.  Both constants are closed forms (``scaling_constants``);
+    E(z) is that of ``radial_resolvent_closed`` at nu = alpha.
 
 Sample grids default to the geometric set {2^k : k = -3..3} (in the
 p-adic case {p^m : m = -3..3}), enough points to expose inconsistency
-in the homogeneity system.  The resolvent data E(z) of the point and
-scaling models is a Stieltjes transform of a power with an elementary
-closed form; ``radial_resolvent_integral`` keeps its quadrature as the
-independent check.  The build-time integrals (Gram samples, overlaps,
-c_alpha, the defect norm) go through adaptive quadrature on the
-compactified half line.
+in the homogeneity system.  The point and scaling E(z) are Stieltjes
+transforms of a power with an elementary closed form;
+``radial_resolvent_integral`` and the quadratures ``c_alpha`` and
+``h_norm_integral`` stay as independent checks.  The point models'
+Gram samples and overlaps go through adaptive quadrature.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -342,8 +342,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def bilateral_sum(term: Callable[[int], complex], rel_tol: float = 1e-15,
-                  cap: int = 400) -> complex:
+SERIES_RTOL = 1e-15
+SERIES_CAP = 400
+
+
+def bilateral_sum(term: Callable[[int], complex], rel_tol: float = SERIES_RTOL,
+                  cap: int = SERIES_CAP) -> complex:
     """Sum term(N) over all integers N with adaptive two-sided truncation.
 
     Truncates a tail once the last included term drops below
@@ -371,39 +375,71 @@ def bilateral_sum(term: Callable[[int], complex], rel_tol: float = 1e-15,
     return total
 
 
-def _padic_data(p: int, alpha: float):
-    pf = float(p)
-    eigenvalue = lambda N: pf ** (alpha * (1 - N))
-    coeff = lambda N: pf ** (-N / 2.0) / (eigenvalue(N) + 1.0)
-    return eigenvalue, coeff
-
-
 def padic_gram(p: int, alpha: float, m: int) -> float:
     """(h, U_{p^m} h) as the shifted bilateral series over wavelet scales."""
-    _, coeff = _padic_data(p, alpha)
+    coeff = lambda N: float(p) ** (-N / 2.0) / (float(p) ** (alpha * (1 - N)) + 1.0)
     return (p - 1) * bilateral_sum(lambda N: coeff(N) * coeff(N + m)).real
 
 
+@functools.lru_cache(maxsize=32)
+def _padic_scales(p: int, alpha: float) -> np.ndarray:
+    """Read-only rows lambda_N, c_N^2 and p^-N over the scales N = -H..H,
+    built once: H is at most ``SERIES_CAP`` and ends where lambda_N or
+    p^-N would leave the normal floats."""
+    half = min(SERIES_CAP, int(700.0 / (max(alpha, 1.0) * math.log(p))) - 1)
+    n, pf = np.arange(-half, half + 1.0), float(p)
+    lam = pf ** (alpha * (1.0 - n))
+    table = np.array([lam, (pf ** (-n / 2.0) / (lam + 1.0)) ** 2, pf ** -n])
+    table.setflags(write=False)
+    return table
+
+
+def _padic_series(p: int, alpha: float, z: complex, closed: bool) -> complex:
+    """(p - 1) sum_N w_N / (lambda_N - z), w_N = p^-N if ``closed`` else c_N^2.
+
+    Past n_z, the first scale with lambda_N <= |z|/2, the terms fall like
+    p^-N; as N -> -inf like p^(a N), a = alpha - 1 if ``closed`` else
+    3 alpha - 1.  The sum runs over 17 decades past scales 0 and n_z at
+    these rates; ``ConvergenceError`` unless its edge terms and the
+    geometric bounds of both tails stay within ``SERIES_RTOL`` of it.
+    """
+    lam, c2, p_n = _padic_scales(p, alpha)
+    w, a = (p_n, alpha - 1.0) if closed else (c2, 3.0 * alpha - 1.0)
+    half, log_p, size = len(lam) // 2, math.log(p), abs(z)
+    n_z = half if not size else min(half, max(-half, math.ceil(
+        1.0 - (math.log(size) - math.log(2.0)) / (alpha * log_p))))
+    span = math.log(1e17) / log_p  # the scales over which p^-N falls 17 decades
+    lo = max(-half, min(n_z, 0) - math.ceil(span / a) - 2)
+    hi = min(half, max(n_z, 0) + math.ceil(span) + 2)
+    lam, w = lam[lo + half:hi + half + 1], w[lo + half:hi + half + 1]
+    if not z.imag and z.real > 0.0 and z.real in lam:
+        raise PoleError(f"z = {z.real!r} is an eigenvalue lambda_N of A0")
+    terms = w / (lam - z)
+    total = (p - 1) * complex(terms.sum())
+    tail = math.inf  # above the window w_N / |lambda_N - z| <= 2 p^-N / |z|
+    if lam[-1] <= 0.5 * size:
+        tail = 2.0 * p ** -hi / ((p - 1) * size)
+    elif z.real <= 0.0 and alpha < 1.0:  # w_N / lambda_N <= p^((alpha-1) N - alpha)
+        tail = p ** ((alpha - 1.0) * (hi + 1) - alpha) / (1.0 - p ** (alpha - 1.0))
+    # below the window w_N / |lambda_N - z| <= 2 w_N / lambda_N <= 2 p^(a (N-1) - 1)
+    tail += (2.0 * p ** (a * (lo - 2) - 1.0) / (1.0 - p ** -a)
+             if lam[0] >= 2.0 * size else math.inf)
+    bound = (p - 1) * (abs(terms[0]) + abs(terms[-1]) + tail)
+    if not bound <= SERIES_RTOL * abs(total):
+        raise ConvergenceError(f"p-adic series at z = {z!r} not within {SERIES_RTOL:g}")
+    return total
+
+
 def padic_resolvent(p: int, alpha: float, z: complex) -> complex:
-    """((A0 - z)^-1 h, h) as a bilateral series over wavelet scales."""
-    eigenvalue, coeff = _padic_data(p, alpha)
-    z = complex(z)
-    return (p - 1) * bilateral_sum(lambda N: coeff(N) ** 2 / (eigenvalue(N) - z))
+    """((A0 - z)^-1 h, h) as the series (p - 1) sum_N c_N^2 / (lambda_N - z)."""
+    return _padic_series(p, alpha, complex(z), closed=False)
 
 
 def padic_closed_form_m(p: int, alpha: float) -> Callable[[complex], np.ndarray]:
     """Closed series form of the Weyl function, valid for alpha > 1."""
     if alpha <= 1.0:
         raise ValueError("the closed Weyl series converges only for alpha > 1")
-    pf = float(p)
-    eigenvalue, _ = _padic_data(p, alpha)
-
-    def m_of_z(z: complex) -> np.ndarray:
-        z = complex(z)
-        denom = (p - 1) * bilateral_sum(lambda N: pf ** (-N) / (eigenvalue(N) - z))
-        return np.array([[-1.0 / denom]])
-
-    return m_of_z
+    return lambda z: np.array([[-1.0 / _padic_series(p, alpha, complex(z), closed=True)]])
 
 
 def build_padic_model(p: int, alpha: float,
@@ -482,9 +518,11 @@ def scaling_gram_coefficient(alpha: float, t: float) -> float:
     return (t ** alpha - t ** (2.0 - alpha)) / (t * t - 1.0)
 
 
-def orthonormal_m_gram(alpha: float, n: int) -> np.ndarray:
-    """Channel Gram (m_i, m_j) making the defect elements orthonormal."""
-    return np.eye(int(n)) / h_norm_integral(alpha)
+def scaling_constants(alpha: float) -> tuple[float, float]:
+    """``c_alpha`` and ``h_norm_integral`` in closed form, pi / (2 sin(pi (2 - a)))
+    and (1 - a) pi / (2 sin(pi a)), the sine's argument reduced to (0, pi/2]."""
+    c_val = 0.5 * math.pi / math.sin(math.pi * min(alpha - 1.0, 2.0 - alpha))
+    return c_val, (alpha - 1.0) * c_val
 
 
 def build_scaling_invariant_3d(alpha: float, m_gram=None,
@@ -500,9 +538,9 @@ def build_scaling_invariant_3d(alpha: float, m_gram=None,
     alpha = float(alpha)
     if not 1.0 < alpha < 2.0:
         raise ValueError("alpha must lie strictly inside (1, 2)")
-    d_val = h_norm_integral(alpha)
+    c_val, d_val = scaling_constants(alpha)
     if m_gram is None:
-        m_mat = orthonormal_m_gram(alpha, n)
+        m_mat = np.eye(int(n)) / d_val  # orthonormal defect elements
     else:
         m_mat = as_matrix(m_gram)
         if not hermitian_within(m_mat):
@@ -510,7 +548,6 @@ def build_scaling_invariant_3d(alpha: float, m_gram=None,
         if float(np.linalg.eigvalsh((m_mat + m_mat.conj().T) / 2).min()) < -1e-12:
             raise ValueError("m_gram must be positive semidefinite")
     n = m_mat.shape[0]
-    c_val = c_alpha(alpha)
     ts, conjugate = _geometric_samples(2.0, GEOMETRIC_EXPONENTS)
     family = SymmetryFamily(
         ts,

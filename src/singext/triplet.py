@@ -31,8 +31,8 @@ POLE_RTOL = 1e-14
 
 def as_matrix(m) -> np.ndarray:
     """Coerce a wrapper or array-like to a checked square complex matrix."""
-    raw = getattr(m, "matrix", m)
-    arr = np.atleast_2d(np.asarray(raw, dtype=complex))
+    arr = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    arr = arr if arr.ndim == 2 else np.atleast_2d(arr)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -45,7 +45,8 @@ def frozen_matrix(m) -> np.ndarray:
 
     A writable array that is the caller's own, or a view of one, is
     copied first (keeping its memory layout), so the caller's array
-    stays writable and cannot change the stored matrix.
+    stays writable and cannot change the stored matrix.  A read-only
+    array is stored as is: a fresh result is frozen in place, not copied.
     """
     arr = as_matrix(m)
     if arr.flags.writeable and (arr is m or not arr.flags.owndata):

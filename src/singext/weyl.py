@@ -75,12 +75,6 @@ class SpectralModel:
             raise ValueError("one membership flag per channel is required")
         object.__setattr__(self, "overlap", overlap)
 
-    def resolvent_at(self, z: complex) -> np.ndarray:
-        e = as_matrix(self.resolvent_gram(complex(z)))
-        if e.shape[0] != self.n:
-            raise ValueError("resolvent Gram has the wrong dimension")
-        return e
-
 
 @dataclass(frozen=True, eq=False)
 class WeylEvaluation:
@@ -104,15 +98,19 @@ class WeylEvaluation:
 
 
 def _invert_or_pole(mat: np.ndarray, what: str) -> np.ndarray:
-    svals = np.linalg.svd(mat, compute_uv=False)
+    # the one singular value of a 1x1 matrix is the modulus of its entry
+    svals = abs(mat[0]) if mat.shape == (1, 1) else np.linalg.svd(mat, compute_uv=False)
     if within(svals[-1], POLE_RTOL, float(svals[0])):
         raise PoleError(f"{what} is singular at the requested point")
     return np.linalg.inv(mat)
 
 
 def _m_hat_raw(model: SpectralModel, z: complex) -> np.ndarray:
-    w = complex(z) + 1.0
-    return w * (model.overlap + w * model.resolvent_at(z))
+    e = np.atleast_2d(np.asarray(model.resolvent_gram(z), dtype=complex))
+    if e.shape != (model.n, model.n):  # its finiteness: that of R + Mhat(z)
+        raise ValueError("resolvent Gram has the wrong dimension")
+    w = z + 1.0
+    return w * (model.overlap + w * e)
 
 
 def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
@@ -122,9 +120,9 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     an eigenvalue of the regularizing extension.  A real z > 0 lies on
     the continuous spectrum; the closed-form backends (scaling and point
     interactions) return the boundary value M(z + i0) from the upper
-    half-plane there.  A z that is not finite raises ``ValueError``.
-    When the model carries a closed form, the returned evaluation
-    reports the relative discrepancy against it on access.
+    half-plane there.  A z or R + Mhat(z) that is not finite and an E(z)
+    of the wrong shape raise ``ValueError``.  When the model carries a
+    closed form, the evaluation reports its discrepancy on access.
     """
     r = as_matrix(reg)
     if r.shape[0] != model.n:
@@ -132,7 +130,11 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
-    m = -_invert_or_pole(r + _m_hat_raw(model, z), "R + Mhat(z)")
+    a = r + _m_hat_raw(model, z)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    m = -_invert_or_pole(a, "R + Mhat(z)")
+    m.setflags(write=False)  # fresh: frozen in place, stored without a copy
     return WeylEvaluation(z, m, model.closed_form_M)
 
 

@@ -160,11 +160,22 @@ def test_weyl_herglotz_positivity(name, z):
 @given(name=st.sampled_from(BACKENDS), z=nonreal, k=st.integers(0, 6))
 def test_weyl_homogeneity(name, z, k):
     # p(t) M(z) = Xi(t) M(p(t) z) Xi(t) for the homogeneous R.  The residual
-    # also carries the quadrature error of the build-time constants (the
-    # defect norm at alpha = 1.9 is 7e-12 off), which R + Mhat(p z) cancelling
-    # near z = 0 amplifies to 3e-8 at z = 0.01i, t = 1/8; a wrong branch or
-    # prefactor of the resolvent gives a residual of order one.
+    # also carries the cancellation in overlap + (z+1) E(z) at large |z|
+    # (1.2e-10 on point d=1 at z = 8i, t = 1/8, where p z = 512i); a wrong
+    # branch or prefactor of the resolvent gives a residual of order one.
     spectral, r, family = backend(name)
     t = family.sample_points[k]
     m = lambda w: sx.weyl_m(spectral, r, w).matrix
-    assert sx.check_weyl_homogeneity(m, family, z, t) <= 1e-7
+    assert sx.check_weyl_homogeneity(m, family, z, t) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.3, 1.5, 1.9, 1.99])
+def test_weyl_homogeneity_near_zero(alpha):
+    # At z = 0.01i and t = 1/8, R + Mhat(p z) nearly cancels and amplifies any
+    # error of the build-time constants c_alpha and h_norm into the residual:
+    # with the quadrature constants it read 2.6e-8 at alpha = 1.9 and 2e-6 at
+    # alpha = 1.99; with their closed forms it stays below 1e-12.
+    spectral, r, family = backend(f"scaling {alpha}")
+    m = lambda w: sx.weyl_m(spectral, r, w).matrix
+    for t in family.sample_points:
+        assert sx.check_weyl_homogeneity(m, family, 0.01j, t) <= 1e-11

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -74,7 +75,7 @@ def test_one_dim_parity_gram_quadrature():
 
 def test_one_dim_resolvent_closed_form_vs_quadrature(one_dim):
     for z in (-2.0, 0.7 + 0.9j, -0.5 + 0.3j):
-        closed = one_dim.spectral.resolvent_at(z)
+        closed = one_dim.spectral.resolvent_gram(z)
         quad11 = (1.0 / np.pi) * integrate_half_line_complex(
             lambda y: 1.0 / ((1 + y * y) ** 2 * (y * y - z)))
         quad22 = (1.0 / np.pi) * integrate_half_line_complex(
@@ -120,7 +121,7 @@ def test_point_resolvent_closed_forms(point_models):
             3: 1 / (8 * np.pi * (1 + u) ** 2),
         }
         for d in (1, 2, 3):
-            got = point_models[d].spectral.resolvent_at(z)[0, 0]
+            got = point_models[d].spectral.resolvent_gram(z)[0, 0]
             assert got == pytest.approx(expected[d], rel=1e-10)
 
 
@@ -214,6 +215,23 @@ def test_beta_alpha_reciprocal_identity(alpha):
                                                      abs=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [1.01, 1.5, 1.9, 1.99])
+def test_scaling_constants_match_mpmath(alpha):
+    # c_alpha = Gamma(2-a) Gamma(a-1) / 2 and h_norm = Gamma(a) Gamma(2-a) / 2
+    # in mpmath; the quadratures read 3.4e-10 and 3.4e-10 off at 1.01 and 1.99
+    c_val, h_val = models.scaling_constants(alpha)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        c_ref = mpmath.gamma(2 - a) * mpmath.gamma(a - 1) / 2
+        h_ref = mpmath.gamma(a) * mpmath.gamma(2 - a) / 2
+        assert abs(c_val - c_ref) <= 1e-15 * c_ref
+        assert abs(h_val - h_ref) <= 1e-15 * h_ref
+    spec = sx.build_scaling_invariant_3d(alpha)
+    assert spec.spectral.overlap[0, 0] == pytest.approx(1.0, rel=1e-15)
+    assert spec.predicted_R[0, 0].real == pytest.approx(-1.0 / (alpha - 1.0), rel=1e-15)
+    assert spec.beta_alpha == pytest.approx(1.0 / (alpha - 1.0), rel=1e-15)
+
+
 def test_gram_limit_at_one_oracle():
     # finite-difference oracle: evaluate the quotient at t = 1 +- 1e-6
     for alpha in (1.3, 1.5, 1.9):
@@ -259,7 +277,7 @@ def test_scaling_parameter_guards():
 
 def test_scaling_resolvent_at_minus_one_matches_overlap_scale(scaling):
     # E(-1)[0,0] = int r^2/(1+r^2)^3 / d_alpha = (pi/16)/(pi/4) = 1/4
-    got = scaling.spectral.resolvent_at(-1.0)[0, 0]
+    got = scaling.spectral.resolvent_gram(-1.0)[0, 0]
     assert got == pytest.approx(0.25, rel=1e-10)
 
 
