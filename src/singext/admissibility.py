@@ -183,6 +183,7 @@ def solve_homogeneous_R(fam: SymmetryFamily, gram: GramFunction,
     if not hermitian_within(matrix, 10 * tol):
         return NoSolution("assembled R is not Hermitian "
                           f"(defect {hermitian_defect(matrix):.3e})")
+    matrix.setflags(write=False)  # fresh: frozen in place, stored without a copy
     return UniqueSolution(matrix)
 
 

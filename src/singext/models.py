@@ -17,8 +17,10 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
     The free Laplacian in d dimensions with a single delta channel,
     scalings U_t f(x) = t^(d/2) f(tx), p(t) = t^-2, xi(t) = t^(-d/2).
     Normalization pinned in Fourier form, hhat(y) = (2pi)^(-d/2) /
-    (1 + |y|^2); Gram data by radial quadrature, the resolvent data
-    E(z) by the closed form of ``radial_resolvent_closed`` at nu = d/2.
+    (1 + |y|^2).  This is the scaling-invariant case nu = d/2: the Gram
+    data are the ``ScalingInvariant3D`` closed form at alpha = nu (with
+    the limit t log t / (t^2 - 1) at d = 2) times (2pi)^-d |S^(d-1)|,
+    and E(z) is that of ``radial_resolvent_closed`` at nu = d/2.
 
 ``PAdicVladimirov`` (prime p, exponent alpha > 1/2)
     Fractional p-adic differentiation of order alpha with a delta
@@ -29,8 +31,8 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
     U_{p^m} shifts N by m: Gram data are series in c_N c_(N+m), and
     E(z) = (p-1) sum_N c_N^2 / (lambda_N - z).  For alpha > 1 the closed
     series M(z) = -1 / ((p-1) sum_N p^-N / (lambda_N - z)) is attached
-    for cross-checks.  Both z-series run over arrays built once per
-    (p, alpha) and check a tail bound at every z.
+    for cross-checks.  All three series run over one table of scales
+    built once per (p, alpha) and check a tail bound.
 
 ``ScalingInvariant3D`` (alpha in (1, 2), channel Gram (m_i, m_j))
     The free Laplacian in three dimensions with n channels built from
@@ -47,11 +49,10 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
 
 Sample grids default to the geometric set {2^k : k = -3..3} (in the
 p-adic case {p^m : m = -3..3}), enough points to expose inconsistency
-in the homogeneity system.  The point and scaling E(z) are Stieltjes
-transforms of a power with an elementary closed form;
-``radial_resolvent_integral`` and the quadratures ``c_alpha`` and
-``h_norm_integral`` stay as independent checks.  The point models'
-Gram samples and overlaps go through adaptive quadrature.
+in the homogeneity system.  Every model is built from closed forms and
+the p-adic scale table; no build integrates.  The quadratures
+``one_dim_gram_quadrature``, ``radial_resolvent_integral``, ``c_alpha``
+and ``h_norm_integral`` stay as independent checks.
 """
 
 from __future__ import annotations
@@ -198,19 +199,10 @@ SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 def point_interaction_gram(d: int, t: float) -> float:
     """(h, U_t h) for the delta channel of the free Laplacian in d dims.
 
-    Radial quadrature of the Fourier-side product; the scaling by t acts
-    as hhat(y) -> t^(-d/2) hhat(y/t).
+    The scaling-invariant Gram at nu = d/2, scaled by the sphere factor;
+    at t = 1 it is the squared norm of h = (A0 + I)^-1 delta.
     """
-    integral = integrate_half_line(
-        lambda r: r ** (d - 1) / ((1.0 + r * r) * (t * t + r * r)))
-    return t ** (2.0 - d / 2.0) * (2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d] * integral
-
-
-def point_interaction_overlap(d: int) -> float:
-    """Squared norm of the defect element h = (A0 + I)^-1 delta in d dims."""
-    integral = integrate_half_line(
-        lambda r: r ** (d - 1) / (1.0 + r * r) ** 2)
-    return (2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d] * integral
+    return _scaling_gram(d / 2.0, t) / ((2.0 * math.pi) ** d / SPHERE_SURFACE[d])
 
 
 TAYLOR_RADIUS = 0.25
@@ -307,18 +299,13 @@ def build_point_interaction(d: int) -> ModelSpec:
     """Single delta interaction for the free Laplacian in d = 1, 2, 3."""
     if d not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {d!r}")
-    ts, conjugate = _geometric_samples(2.0, GEOMETRIC_EXPONENTS)
-    family = SymmetryFamily(
-        ts,
-        conjugate,
-        {t: t ** -2.0 for t in ts},
-        [{t: t ** (-d / 2.0) for t in ts}],
-    )
-    gram = GramFunction({t: [[point_interaction_gram(d, t)]] for t in ts})
+    family = _scaling_family(d / 2.0, 1)
+    gram = GramFunction({t: [[point_interaction_gram(d, t)]]
+                         for t in family.sample_points})
     spectral = SpectralModel(
         n=1,
         resolvent_gram=lambda z: np.array([[point_interaction_resolvent(d, z)]]),
-        overlap=[[point_interaction_overlap(d)]],
+        overlap=[[point_interaction_gram(d, 1.0)]],
         psi_in_Hminus1=(d == 1,),
     )
     return ModelSpec(KIND_POINT, {"d": int(d)}, family, gram, spectral,
@@ -346,52 +333,46 @@ SERIES_RTOL = 1e-15
 SERIES_CAP = 400
 
 
-def bilateral_sum(term: Callable[[int], complex], rel_tol: float = SERIES_RTOL,
-                  cap: int = SERIES_CAP) -> complex:
-    """Sum term(N) over all integers N with adaptive two-sided truncation.
-
-    Truncates a tail once the last included term drops below
-    ``rel_tol`` times the running sum (three consecutive times, to ride
-    out non-monotone stretches); raises ``ConvergenceError`` at ``cap``
-    terms per direction.
-    """
-    total = complex(term(0))
-    for direction in (1, -1):
-        consecutive = 0
-        index = direction
-        while True:
-            if abs(index) > cap:
-                raise ConvergenceError(
-                    f"bilateral series did not converge within {cap} terms")
-            value = complex(term(index))
-            total += value
-            if abs(value) < rel_tol * max(abs(total), 1e-300):
-                consecutive += 1
-                if consecutive >= 3:
-                    break
-            else:
-                consecutive = 0
-            index += direction
-    return total
-
-
-def padic_gram(p: int, alpha: float, m: int) -> float:
-    """(h, U_{p^m} h) as the shifted bilateral series over wavelet scales."""
-    coeff = lambda N: float(p) ** (-N / 2.0) / (float(p) ** (alpha * (1 - N)) + 1.0)
-    return (p - 1) * bilateral_sum(lambda N: coeff(N) * coeff(N + m)).real
-
-
 @functools.lru_cache(maxsize=32)
 def _padic_scales(p: int, alpha: float) -> np.ndarray:
-    """Read-only rows lambda_N, c_N^2 and p^-N over the scales N = -H..H,
+    """Read-only rows lambda_N, c_N^2, p^-N and c_N over the scales N = -H..H,
     built once: H is at most ``SERIES_CAP`` and ends where lambda_N or
     p^-N would leave the normal floats."""
     half = min(SERIES_CAP, int(700.0 / (max(alpha, 1.0) * math.log(p))) - 1)
     n, pf = np.arange(-half, half + 1.0), float(p)
     lam = pf ** (alpha * (1.0 - n))
-    table = np.array([lam, (pf ** (-n / 2.0) / (lam + 1.0)) ** 2, pf ** -n])
+    c = pf ** (-n / 2.0) / (lam + 1.0)
+    table = np.array([lam, c ** 2, pf ** -n, c])
     table.setflags(write=False)
     return table
+
+
+def padic_gram(p: int, alpha: float, m: int) -> float:
+    """(h, U_{p^m} h) = (p - 1) sum_N c_N c_(N+|m|) over the scale table.
+
+    The series is even in m (shift N by m).  As N -> +inf its terms fall
+    like p^-N (c_N <= p^(-N/2)), as N -> -inf like p^(a N), a = 2 alpha - 1
+    (c_N <= p^(-N/2) / lambda_N).  The sum runs over 17 decades past
+    scales -|m| and 0 at these rates; ``ConvergenceError`` unless its edge
+    terms and the geometric bounds of both tails stay within
+    ``SERIES_RTOL`` of it.
+    """
+    m = abs(int(m))
+    c = _padic_scales(p, alpha)[3]
+    half, a = len(c) // 2, 2.0 * alpha - 1.0
+    span = math.log(1e17) / math.log(p)
+    lo = max(-half, -m - math.ceil(span / a) - 2)
+    hi = min(half - m, math.ceil(span) + 2)
+    if lo > hi:
+        raise ConvergenceError(f"p-adic Gram series at m = {m} exceeds the scale table")
+    terms = c[lo + half:hi + half + 1] * c[lo + m + half:hi + m + half + 1]
+    total = (p - 1) * float(terms.sum())
+    tail = (p ** (-0.5 * m - hi - 1.0) / (1.0 - 1.0 / p)
+            + p ** ((alpha - 0.5) * m - 2.0 * alpha + a * (lo - 1)) / (1.0 - p ** -a))
+    bound = (p - 1) * (terms[0] + terms[-1] + tail)
+    if not bound <= SERIES_RTOL * total:
+        raise ConvergenceError(f"p-adic Gram series at m = {m} not within {SERIES_RTOL:g}")
+    return total
 
 
 def _padic_series(p: int, alpha: float, z: complex, closed: bool) -> complex:
@@ -403,7 +384,7 @@ def _padic_series(p: int, alpha: float, z: complex, closed: bool) -> complex:
     these rates; ``ConvergenceError`` unless its edge terms and the
     geometric bounds of both tails stay within ``SERIES_RTOL`` of it.
     """
-    lam, c2, p_n = _padic_scales(p, alpha)
+    lam, c2, p_n, _ = _padic_scales(p, alpha)
     w, a = (p_n, alpha - 1.0) if closed else (c2, 3.0 * alpha - 1.0)
     half, log_p, size = len(lam) // 2, math.log(p), abs(z)
     n_z = half if not size else min(half, max(-half, math.ceil(
@@ -511,18 +492,29 @@ def gram_limit_at_one(alpha: float) -> float:
     return float(alpha) - 1.0
 
 
-def scaling_gram_coefficient(alpha: float, t: float) -> float:
-    """(t^a - t^(2-a))/(t^2 - 1), with the t = 1 limit filled by continuity."""
-    if t == 1.0:
-        return gram_limit_at_one(alpha)
-    return (t ** alpha - t ** (2.0 - alpha)) / (t * t - 1.0)
-
-
 def scaling_constants(alpha: float) -> tuple[float, float]:
     """``c_alpha`` and ``h_norm_integral`` in closed form, pi / (2 sin(pi (2 - a)))
     and (1 - a) pi / (2 sin(pi a)), the sine's argument reduced to (0, pi/2]."""
     c_val = 0.5 * math.pi / math.sin(math.pi * min(alpha - 1.0, 2.0 - alpha))
     return c_val, (alpha - 1.0) * c_val
+
+
+def _scaling_gram(nu: float, t: float) -> float:
+    """c_nu (t^nu - t^(2-nu)) / (t^2 - 1), the Gram sample at t of a channel
+    with xi(t) = t^-nu per unit channel Gram; the t = 1 limits are filled
+    in, and nu = 1 takes the limit t log t / (t^2 - 1)."""
+    if nu == 1.0:
+        return 0.5 if t == 1.0 else t * math.log(t) / (t * t - 1.0)
+    if t == 1.0:
+        return scaling_constants(nu)[0] * gram_limit_at_one(nu)
+    return scaling_constants(nu)[0] * ((t ** nu - t ** (2.0 - nu)) / (t * t - 1.0))
+
+
+def _scaling_family(nu: float, n: int) -> SymmetryFamily:
+    """Scalings t = 2^k with p(t) = t^-2 and xi(t) = t^-nu on each of n channels."""
+    ts, conjugate = _geometric_samples(2.0, GEOMETRIC_EXPONENTS)
+    return SymmetryFamily(ts, conjugate, {t: t ** -2.0 for t in ts},
+                          [{t: t ** -nu for t in ts} for _ in range(n)])
 
 
 def build_scaling_invariant_3d(alpha: float, m_gram=None,
@@ -548,15 +540,9 @@ def build_scaling_invariant_3d(alpha: float, m_gram=None,
         if float(np.linalg.eigvalsh((m_mat + m_mat.conj().T) / 2).min()) < -1e-12:
             raise ValueError("m_gram must be positive semidefinite")
     n = m_mat.shape[0]
-    ts, conjugate = _geometric_samples(2.0, GEOMETRIC_EXPONENTS)
-    family = SymmetryFamily(
-        ts,
-        conjugate,
-        {t: t ** -2.0 for t in ts},
-        [{t: t ** -alpha for t in ts} for _ in range(n)],
-    )
+    family = _scaling_family(alpha, n)
     gram = GramFunction(
-        {t: c_val * scaling_gram_coefficient(alpha, t) * m_mat for t in ts})
+        {t: _scaling_gram(alpha, t) * m_mat for t in family.sample_points})
     overlap = d_val * m_mat
     orthonormal = bool(np.linalg.norm(overlap - np.eye(n)) <= 1e-10)
     spectral = SpectralModel(

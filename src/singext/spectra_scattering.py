@@ -219,4 +219,5 @@ def s_matrix(coupling, z: complex, tol: float = 1e-12) -> SMatrix:
     max_sv = float(np.linalg.svd(s, compute_uv=False)[0])
     unitary = defect <= tol if (z.imag == 0.0 and hermitian_within(b)) else None
     contractive = max_sv <= 1.0 + tol if z.imag > 0.0 else None
+    s.setflags(write=False)  # fresh: frozen in place, stored without a copy
     return SMatrix(z, s, defect, max_sv, unitary, contractive)

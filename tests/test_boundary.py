@@ -60,15 +60,32 @@ def test_entry_point_rejects_bad_matrix(entry, bad, padic, padic_r):
 
 
 def test_scipy_integrate_loads_at_the_first_quadrature():
+    # every model builds from closed forms and arrays; only the oracles
+    # (here criterion 2's c_alpha) integrate
     script = "\n".join([
         "import contextlib, io, sys",
         "import singext",
-        "from singext import cli",
+        "from singext import cli, models",
         "assert 'scipy.integrate' not in sys.modules",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        "    assert cli.run(['verify', '--criteria', '1']) == 0",
+        "singext.build_one_dim_model()",
+        "for d in (1, 2, 3):",
+        "    singext.build_point_interaction(d)",
+        "singext.build_padic_model(2, 1.5)",
+        "singext.build_scaling_invariant_3d(1.5)",
+        "calls = [['verify', '--criteria', '1'],",
+        "         ['model', 'info', '--kind', 'OneDimDeltaDeltaPrime'],",
+        "         ['model', 'info', '--kind', 'PointInteractionRd', '--d', '2'],",
+        "         ['model', 'info', '--kind', 'PAdicVladimirov', '--p', '3', '--alpha', '0.75'],",
+        "         ['model', 'info', '--kind', 'ScalingInvariant3D', '--alpha', '1.3'],",
+        "         ['classify', '--kind', 'PointInteractionRd', '--d', '3'],",
+        "         ['weyl', '--kind', 'PointInteractionRd', '--d', '3', '--z=-1,0'],",
+        "         ['spectrum', '--kind', 'PAdicVladimirov', '--p', '2', '--alpha', '1.5',",
+        "          '--B', '[[-0.57]]', '--interval=-3,-0.3']]",
+        "for argv in calls:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.run(argv) == 0, argv",
         "assert 'scipy.integrate' not in sys.modules",
-        "singext.build_point_interaction(3)",
+        "models.c_alpha(1.5)",
         "assert 'scipy.integrate' in sys.modules",
     ])
     src = pathlib.Path(sx.__file__).resolve().parents[1]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -7,6 +9,7 @@ import pytest
 
 import singext as sx
 from singext import models
+from singext.cli import run
 from singext.errors import ConvergenceError
 from singext.quadrature import (integrate_half_line, integrate_half_line_complex,
                                 integrate_real_line)
@@ -103,10 +106,45 @@ def test_point_overlap_three_d_value(point_models):
     assert overlap == pytest.approx(1.0 / (8.0 * math.pi), abs=1e-12)
 
 
+POINT_SAMPLES = [2.0 ** k for k in range(-3, 4)]
+
+
+def point_gram_mpmath(d: int, t: float) -> mpmath.mpf:
+    """The defining radial integral of (h, U_t h) at 40 digits."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        sphere = {1: 2, 2: 2 * mpmath.pi, 3: 4 * mpmath.pi}[d]
+        integral = mpmath.quad(lambda r: r ** (d - 1) / ((1 + r * r) * (t * t + r * r)),
+                               [0, 1, mpmath.inf])
+        return t ** (2 - mpmath.mpf(d) / 2) * (2 * mpmath.pi) ** -d * sphere * integral
+
+
+def point_gram_quadrature(d: int, t: float) -> float:
+    """The same integral through the package's half-line quadrature."""
+    integral = integrate_half_line(lambda r: r ** (d - 1) / ((1.0 + r * r) * (t * t + r * r)))
+    return t ** (2.0 - d / 2.0) * (2.0 * math.pi) ** -d * models.SPHERE_SURFACE[d] * integral
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_point_gram_closed_form_matches_mpmath_and_quadrature(d, point_models):
+    spec = point_models[d]
+    for t in POINT_SAMPLES:
+        got = spec.gram.at(t)[0, 0]
+        assert got.imag == 0.0 and got.real == models.point_interaction_gram(d, t)
+        want = point_gram_mpmath(d, t)
+        assert abs(got.real - want) <= 1e-15 * want
+        assert got.real == pytest.approx(point_gram_quadrature(d, t), rel=1e-11)
+    overlap = spec.spectral.overlap[0, 0].real
+    assert overlap == models.point_interaction_gram(d, 1.0)
+    assert abs(overlap - point_gram_mpmath(d, 1.0)) <= 1e-15 * overlap
+    assert overlap == pytest.approx(point_gram_quadrature(d, 1.0), rel=1e-11)
+
+
 def test_point_d1_gram_matches_zero_range_channel(point_models, one_dim):
     for t in (0.5, 2.0, 8.0):
         assert point_models[1].gram.at(t)[0, 0].real == \
             pytest.approx(one_dim.gram.at(t)[0, 0].real, abs=1e-11)
+    assert point_models[1].spectral.overlap[0, 0] == one_dim.spectral.overlap[0, 0] == 0.25
 
 
 def test_point_resolvent_closed_forms(point_models):
@@ -142,9 +180,7 @@ def test_padic_parameter_guards():
 
 def test_padic_gram_even_in_scale_shift():
     for m in (1, 2, 3):
-        plus = models.padic_gram(2, 1.5, m)
-        minus = models.padic_gram(2, 1.5, -m)
-        assert plus == pytest.approx(minus, rel=1e-14)
+        assert models.padic_gram(2, 1.5, m) == models.padic_gram(2, 1.5, -m)
 
 
 def test_padic_overlap_is_unshifted_gram(padic):
@@ -183,9 +219,16 @@ def test_padic_three_gives_multiple_wavelets_per_scale():
     assert isinstance(sol, sx.UniqueSolution)
 
 
-def test_bilateral_sum_divergence_guard():
+def test_padic_gram_refused_where_the_window_is_too_short():
+    # at alpha = 0.51 the terms shrink by 2^-0.02 a scale as N -> -inf, so
+    # 1e-15 lies far beyond the last scale of the window
     with pytest.raises(ConvergenceError):
-        models.bilateral_sum(lambda n: 1.0, cap=50)
+        sx.build_padic_model(2, 0.51)
+    with pytest.raises(ConvergenceError):  # a shift beyond the scale table
+        models.padic_gram(2, 1.5, 1000)
+    argv = ["model", "info", "--kind", "PAdicVladimirov", "--p", "2", "--alpha", "0.51"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) == 3
 
 
 # scaling-invariant model -----------------------------------------------------

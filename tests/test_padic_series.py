@@ -1,12 +1,12 @@
-"""The p-adic resolvent datum E(z) and the closed Weyl series over arrays.
+"""The p-adic series over arrays: E(z), the closed Weyl series, the Gram.
 
-``models.padic_resolvent`` sums (p-1) sum_N c_N^2 / (lambda_N - z) and
-``models.padic_closed_form_m`` inverts (p-1) sum_N p^-N / (lambda_N - z),
-both over the scales N of a window built once per (p, alpha) and
-truncated per z by the decay of the terms.  Both are checked against
-the same bilateral series summed in mpmath at 40 digits, and their
-refusals (a tail bound above 1e-15 of the sum) against the divergence
-of the series at z = 0.
+``models.padic_resolvent`` sums (p-1) sum_N c_N^2 / (lambda_N - z),
+``models.padic_closed_form_m`` inverts (p-1) sum_N p^-N / (lambda_N - z)
+and ``models.padic_gram`` sums (p-1) sum_N c_N c_(N+m), all over the
+scales N of a table built once per (p, alpha) and truncated by the
+decay of the terms.  Each is checked against the same bilateral series
+summed in mpmath at 40 digits, and the refusals of the z-series (a tail
+bound above 1e-15 of the sum) against their divergence at z = 0.
 """
 
 import functools
@@ -55,6 +55,24 @@ def mpmath_series(p: int, alpha: float, z: complex, closed: bool) -> complex:
         return complex((p - 1) * total)
 
 
+@functools.cache
+def mpmath_gram(p: int, alpha: float, m: int) -> mpmath.mpf:
+    """(p-1) sum_N c_N c_(N+m) at 40 digits, each direction summed until
+    five terms in a row fall below 1e-35 of the sum."""
+    with mpmath.workdps(40):
+        pm, am = mpmath.mpf(p), mpmath.mpf(alpha)
+        coeff = lambda n: pm ** (-mpmath.mpf(n) / 2) / (pm ** (am * (1 - n)) + 1)
+        total = coeff(0) * coeff(m)
+        for step in (1, -1):
+            n, small = step, 0
+            while small < 5:
+                t = coeff(n) * coeff(n + m)
+                total += t
+                small = small + 1 if t < mpmath.mpf(10) ** -35 * total else 0
+                n += step
+        return (p - 1) * total
+
+
 def relative_error(got: complex, want: complex) -> float:
     return abs(got - want) / abs(want)
 
@@ -64,6 +82,14 @@ def relative_error(got: complex, want: complex) -> float:
 def test_resolvent_matches_mpmath(p, alpha, z):
     want = mpmath_series(p, alpha, z, closed=False)
     assert relative_error(models.padic_resolvent(p, alpha, z), want) <= REL_TOL
+
+
+@pytest.mark.parametrize("p, alpha", MODELS + [(2, 0.6)])
+def test_gram_matches_mpmath(p, alpha):
+    for m in range(-3, 4):
+        got = models.padic_gram(p, alpha, m)
+        assert relative_error(got, mpmath_gram(p, alpha, m)) <= 1e-15
+        assert got == models.padic_gram(p, alpha, -m)
 
 
 @pytest.mark.parametrize("p, alpha", [m for m in MODELS if m[1] > 1.0])
@@ -131,10 +157,10 @@ def test_resolvent_at_an_eigenvalue_is_a_pole(p, alpha):
 
 @pytest.mark.parametrize("p, alpha", MODELS + [(7, 0.55), (11, 3.0)])
 def test_window_stays_in_the_normal_range(p, alpha):
-    lam, c2, p_minus_n = models._padic_scales(p, alpha)
+    lam, c2, p_minus_n, c = models._padic_scales(p, alpha)
     half = len(lam) // 2
     assert 0 < half <= models.SERIES_CAP
-    for a in (lam, c2, p_minus_n):
+    for a in (lam, c2, p_minus_n, c):
         assert a.shape == (2 * half + 1,)
         assert not a.flags.writeable
         assert np.isfinite(a).all()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import singext as sx
-from singext.triplet import HERMITICITY_RTOL, is_hermitian, within
+from singext.triplet import HERMITICITY_RTOL, frozen_matrix, is_hermitian, within
 
 
 def nearly_hermitian(rel_defect):
@@ -145,6 +145,23 @@ def test_building_from_a_complex_array_copies_it():
     fixed = np.array([[np.nan, 1.0], [1.0, np.nan]], dtype=complex)
     sx.InfiniteSolutions(fixed, frozenset({(0, 0), (1, 1)}))
     assert fixed.flags.writeable
+
+
+def test_fresh_results_reach_the_value_type_read_only(one_dim, monkeypatch):
+    # a read-only array is stored as is, so these results are not copied
+    from singext import admissibility, spectra_scattering
+    seen = []
+
+    def spy(m):
+        seen.append(m.flags.writeable)
+        return frozen_matrix(m)
+
+    monkeypatch.setattr(admissibility, "frozen_matrix", spy)
+    monkeypatch.setattr(spectra_scattering, "frozen_matrix", spy)
+    sol = sx.solve_homogeneous_R(one_dim.family, one_dim.gram)
+    s = sx.s_matrix([[0.7, 0.1], [0.1, -0.3]], 0.4)
+    assert seen == [False, False]
+    assert not sol.matrix.flags.writeable and not s.matrix.flags.writeable
 
 
 def equal_valued_copy(obj):
