@@ -28,7 +28,8 @@ from .triplet import (AdmissibleMatrix, BoundaryCoordinates, CouplingMatrix,
                       boundary_form, in_realization_domain,
                       is_selfadjoint_realization, to_regularized_triplet)
 from .weyl import (SpectralModel, WeylEvaluation, check_weyl_homogeneity,
-                   find_negative_eigenvalues, krein_correction, weyl_m)
+                   find_negative_eigenvalues, krein_correction, weyl_m,
+                   weyl_m_grid)
 
 __version__ = "0.1.0"
 
@@ -49,5 +50,5 @@ __all__ = [
     "krein_correction", "model_from_json", "model_info",
     "residual_homogeneous", "s_matrix", "s_matrix_grid",
     "solve_homogeneous_R", "spectrum_ladder", "to_regularized_triplet",
-    "validate_family", "weyl_m",
+    "validate_family", "weyl_m", "weyl_m_grid",
 ]

@@ -50,7 +50,10 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
 Sample grids default to the geometric set {2^k : k = -3..3} (in the
 p-adic case {p^m : m = -3..3}), enough points to expose inconsistency
 in the homogeneity system.  Every model is built from closed forms and
-the p-adic scale table; no build integrates.  The quadratures
+the p-adic scale table; no build integrates.  Each backend also gives
+E(z) in array form (``SpectralModel.resolvent_gram_grid``) for
+``weyl_m_grid``: ``radial_resolvent_grid``, ``np.sqrt`` in the one-dim
+form and ``padic_resolvent_grid``.  The quadratures
 ``one_dim_gram_quadrature``, ``radial_resolvent_integral``, ``c_alpha``
 and ``h_norm_integral`` stay as independent checks.
 """
@@ -159,6 +162,14 @@ def _one_dim_resolvent(z: complex) -> np.ndarray:
     return np.diag([e11, e22])
 
 
+def _one_dim_resolvent_grid(z: np.ndarray) -> np.ndarray:
+    u = np.sqrt(-z)
+    e = np.zeros(z.shape + (2, 2), dtype=complex)
+    e[..., 0, 0] = (u + 2.0) / (4.0 * u * (1.0 + u) ** 2)
+    e[..., 1, 1] = 1.0 / (4.0 * (1.0 + u) ** 2)
+    return e
+
+
 def _geometric_samples(base: float, exponents) -> tuple[list[float], dict[float, float]]:
     """Sample points base^k with the conjugation t -> 1/t paired by exponent,
     so that reciprocals match the stored samples bitwise."""
@@ -184,6 +195,7 @@ def build_one_dim_model() -> ModelSpec:
         resolvent_gram=_one_dim_resolvent,
         overlap=np.diag([0.25, 0.25]),
         psi_in_Hminus1=(True, False),
+        resolvent_gram_grid=_one_dim_resolvent_grid,
     )
     return ModelSpec(KIND_ONE_DIM, {}, family, gram, spectral,
                      ("delta", "delta_prime"))
@@ -229,15 +241,8 @@ def radial_resolvent_closed(nu: float, z: complex) -> complex:
     series in w - 1 is summed instead.  At z = 0 the integral is finite
     only for nu > 1; otherwise ``PoleError`` is raised.
     """
-    if not 0.0 < nu < 2.0:
-        raise ValueError(f"the integral converges only for 0 < nu < 2, got {nu!r}")
+    s, half_k = _radial_constants(nu)
     z = complex(z)
-    s = nu - 1.0
-    if s:
-        # K/2, with the sine's argument reduced to [-pi/2, pi/2] so that it
-        # keeps its relative accuracy as nu nears 1 or 2.
-        half_k = -0.5 * math.pi / math.sin(
-            math.pi * (s if abs(s) <= 0.5 else math.copysign(1.0, s) - s))
     if z.imag == 0.0 and z.real <= 0.0:
         w, log, expm1 = -z.real, math.log, math.expm1
     else:
@@ -273,6 +278,88 @@ def radial_resolvent_closed(nu: float, z: complex) -> complex:
     return complex(half_k * num / (x * x))
 
 
+def _radial_constants(nu: float) -> tuple[float, float]:
+    """s = nu - 1 and K/2 = pi / (2 sin(pi nu)) (0 at nu = 1), the sine's
+    argument reduced to [-pi/2, pi/2] so that K keeps its relative accuracy
+    as nu nears 1 or 2."""
+    if not 0.0 < nu < 2.0:
+        raise ValueError(f"the integral converges only for 0 < nu < 2, got {nu!r}")
+    s = nu - 1.0
+    if not s:
+        return s, 0.0
+    return s, -0.5 * math.pi / math.sin(
+        math.pi * (s if abs(s) <= 0.5 else math.copysign(1.0, s) - s))
+
+
+def radial_resolvent_grid(nu: float, z: np.ndarray) -> np.ndarray:
+    """``radial_resolvent_closed`` at every point of a finite complex array z.
+
+    The same branches: real z <= 0 in real arithmetic, the Taylor series
+    within ``TAYLOR_RADIUS`` of z = -1 (summed until its last term is below
+    1e-17 of the sum at every point of the disc), the boundary value at
+    real z > 0 and ``PoleError`` at z = 0 for nu <= 1.
+    """
+    s, half_k = _radial_constants(nu)
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
+    zero = z == 0.0
+    if zero.any():
+        if s <= 0.0:
+            raise PoleError(f"the resolvent integral diverges at z = 0 for nu = {nu!r}")
+        out[zero] = half_k * (s - 1.0)
+    real = (z.imag == 0.0) & (z.real < 0.0)
+    out[real] = _radial_closed_at(s, half_k, -z.real[real])
+    rest = z[~(real | zero)]
+    w = np.empty_like(rest)
+    w.real = -rest.real
+    w.imag = np.where(rest.imag != 0.0, -rest.imag, -0.0)  # the upper rim, as above
+    out[~(real | zero)] = _radial_closed_at(s, half_k, w)
+    return out
+
+
+def _radial_closed_at(s: float, half_k: float, w: np.ndarray) -> np.ndarray:
+    """The closed form at a 1-D array of nonzero w = -z, real or complex."""
+    out = np.empty_like(w)
+    x = w - 1.0
+    disc = np.abs(x) < TAYLOR_RADIUS
+    if disc.any():
+        coeff = half_k * s * (s - 1.0) / 2.0 if s else 0.25
+        x_disc = x[disc]
+        power = np.ones_like(x_disc)
+        term = total = np.full_like(power, coeff)
+        k = 2
+        while (np.abs(term) > 1e-17 * np.abs(total)).any():
+            coeff *= (s - k) / (k + 1.0)
+            power = power * x_disc
+            k += 1
+            term = coeff * power
+            total = total + term
+        out[disc] = total
+    rest = ~disc
+    w, x = w[rest], x[rest]
+    log_w = np.log(w)
+    if not s:
+        out[rest] = (x - log_w) / (2.0 * x * x)
+        return out
+    if s > 0.5:
+        num = w * _expm1_grid((s - 1.0) * log_w) + (1.0 - s) * x
+    else:
+        num = _expm1_grid(s * log_w) - s * x
+    out[rest] = half_k * num / (x * x)
+    return out
+
+
+def _expm1_grid(u: np.ndarray) -> np.ndarray:
+    """``_expm1`` on an array, real or complex."""
+    if u.dtype.kind == "f":
+        return np.expm1(u)
+    half = np.sin(0.5 * u.imag)
+    out = np.empty_like(u)
+    out.real = np.expm1(u.real) * np.cos(u.imag) - 2.0 * half * half
+    out.imag = np.exp(u.real) * np.sin(u.imag)
+    return out
+
+
 def radial_resolvent_integral(k: float, z: complex) -> complex:
     """Quadrature of r^k/((1+r^2)^2 (r^2 - z)) over the half line.
 
@@ -295,6 +382,11 @@ def point_interaction_resolvent(d: int, z: complex) -> complex:
     return (2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d] * integral
 
 
+def _point_resolvent_grid(d: int, z: np.ndarray) -> np.ndarray:
+    integral = radial_resolvent_grid(d / 2.0, z)
+    return ((2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d] * integral)[..., None, None]
+
+
 def build_point_interaction(d: int) -> ModelSpec:
     """Single delta interaction for the free Laplacian in d = 1, 2, 3."""
     if d not in (1, 2, 3):
@@ -307,6 +399,7 @@ def build_point_interaction(d: int) -> ModelSpec:
         resolvent_gram=lambda z: np.array([[point_interaction_resolvent(d, z)]]),
         overlap=[[point_interaction_gram(d, 1.0)]],
         psi_in_Hminus1=(d == 1,),
+        resolvent_gram_grid=functools.partial(_point_resolvent_grid, d),
     )
     return ModelSpec(KIND_POINT, {"d": int(d)}, family, gram, spectral,
                      ("delta",))
@@ -389,9 +482,7 @@ def _padic_series(p: int, alpha: float, z: complex, closed: bool) -> complex:
     half, log_p, size = len(lam) // 2, math.log(p), abs(z)
     n_z = half if not size else min(half, max(-half, math.ceil(
         1.0 - (math.log(size) - math.log(2.0)) / (alpha * log_p))))
-    span = math.log(1e17) / log_p  # the scales over which p^-N falls 17 decades
-    lo = max(-half, min(n_z, 0) - math.ceil(span / a) - 2)
-    hi = min(half, max(n_z, 0) + math.ceil(span) + 2)
+    lo, hi = _series_window(log_p, a, half, n_z)
     lam, w = lam[lo + half:hi + half + 1], w[lo + half:hi + half + 1]
     if not z.imag and z.real > 0.0 and z.real in lam:
         raise PoleError(f"z = {z.real!r} is an eigenvalue lambda_N of A0")
@@ -411,9 +502,73 @@ def _padic_series(p: int, alpha: float, z: complex, closed: bool) -> complex:
     return total
 
 
+def _series_window(log_p: float, a: float, half: int, n_z: int) -> tuple[int, int]:
+    """The scales lo..hi of ``_padic_series`` at scale n_z, decay rate a."""
+    span = math.log(1e17) / log_p  # the scales over which p^-N falls 17 decades
+    return (max(-half, min(n_z, 0) - math.ceil(span / a) - 2),
+            min(half, max(n_z, 0) + math.ceil(span) + 2))
+
+
 def padic_resolvent(p: int, alpha: float, z: complex) -> complex:
     """((A0 - z)^-1 h, h) as the series (p - 1) sum_N c_N^2 / (lambda_N - z)."""
     return _padic_series(p, alpha, complex(z), closed=False)
+
+
+PADIC_GRID_BLOCK = 256
+PADIC_GRID_TERMS = 1 << 16  # terms of one block: 1 MB of complex
+
+
+def padic_resolvent_grid(p: int, alpha: float, z: np.ndarray) -> np.ndarray:
+    """``padic_resolvent`` at every point of a finite complex array z.
+
+    The points that share a scale n_z share the scalar series' window,
+    and are summed over it in blocks of at most ``PADIC_GRID_BLOCK``
+    points and ``PADIC_GRID_TERMS`` terms, each point under the same
+    edge-and-tail check.
+    """
+    lam, c2, _, _ = _padic_scales(p, alpha)
+    half, log_p, a = len(lam) // 2, math.log(p), 3.0 * alpha - 1.0
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    with np.errstate(divide="ignore"):  # n_z = half at z = 0, as in the scalar series
+        n_z = np.minimum(half, np.maximum(-half, np.ceil(
+            1.0 - (np.log(np.abs(flat)) - math.log(2.0)) / (alpha * log_p)))).astype(int)
+    out = np.empty(flat.shape, dtype=complex)
+    for n in np.unique(n_z).tolist():
+        lo, hi = _series_window(log_p, a, half, n)
+        points = np.flatnonzero(n_z == n)
+        step = max(1, min(PADIC_GRID_BLOCK, PADIC_GRID_TERMS // (hi - lo + 1)))
+        for k in range(0, len(points), step):
+            block = points[k:k + step]
+            out[block] = _padic_block(p, alpha, lam[lo + half:hi + half + 1],
+                                      c2[lo + half:hi + half + 1], flat[block], lo, hi)
+    return out.reshape(z.shape)
+
+
+def _padic_block(p: int, alpha: float, lam: np.ndarray, w: np.ndarray,
+                 z: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``_padic_series`` (closed=False) of a 1-D array of z over the scales lo..hi."""
+    on_axis = z.real[(z.imag == 0.0) & (z.real > 0.0)]
+    hits = on_axis[np.isin(on_axis, lam)]
+    if hits.size:
+        raise PoleError(f"z = {float(hits[0])!r} is an eigenvalue lambda_N of A0")
+    a, size = 3.0 * alpha - 1.0, np.abs(z)
+    terms = w / (lam - z[:, None])
+    total = (p - 1) * terms.sum(axis=1)
+    tail = np.full(z.shape, math.inf)
+    above = lam[-1] <= 0.5 * size
+    tail[above] = 2.0 * p ** -hi / ((p - 1) * size[above])
+    if alpha < 1.0:
+        tail[~above & (z.real <= 0.0)] = (p ** ((alpha - 1.0) * (hi + 1) - alpha)
+                                          / (1.0 - p ** (alpha - 1.0)))
+    tail += np.where(lam[0] >= 2.0 * size,
+                     2.0 * p ** (a * (lo - 2) - 1.0) / (1.0 - p ** -a), math.inf)
+    bound = (p - 1) * (np.abs(terms[:, 0]) + np.abs(terms[:, -1]) + tail)
+    bad = ~(bound <= SERIES_RTOL * np.abs(total))
+    if bad.any():
+        raise ConvergenceError(f"p-adic series at z = {complex(z[bad][0])!r}"
+                               f" not within {SERIES_RTOL:g}")
+    return total
 
 
 def padic_closed_form_m(p: int, alpha: float) -> Callable[[complex], np.ndarray]:
@@ -455,6 +610,7 @@ def build_padic_model(p: int, alpha: float,
         overlap=[[padic_gram(p, alpha, 0)]],
         psi_in_Hminus1=(alpha > 1.0,),
         closed_form_M=closed,
+        resolvent_gram_grid=lambda z: padic_resolvent_grid(p, alpha, z)[..., None, None],
     )
     return ModelSpec(KIND_PADIC, {"p": p, "alpha": alpha}, family, gram,
                      spectral, ("delta",))
@@ -550,6 +706,7 @@ def build_scaling_invariant_3d(alpha: float, m_gram=None,
         resolvent_gram=lambda z: e_alpha(alpha, z) * m_mat,
         overlap=overlap,
         psi_in_Hminus1=(False,) * n,
+        resolvent_gram_grid=lambda z: radial_resolvent_grid(alpha, z)[..., None, None] * m_mat,
     )
     return ModelSpec(
         KIND_SCALING,

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily
-from .triplet import (POLE_RTOL, AdmissibleMatrix, CouplingMatrix, as_matrix,
-                      frozen_matrix, hermitian_within, within)
+from .triplet import (AdmissibleMatrix, CouplingMatrix, as_matrix,
+                      frozen_matrix, hermitian_within, refuse_stacked_poles,
+                      within)
 
 S_MATRIX_PROVENANCE_NOTE = (
     "closed form established for the orthonormal scaling-invariant model "
@@ -198,10 +198,7 @@ def _cayley_grid(b: np.ndarray, z) -> np.ndarray:
     wb = (2j * np.asarray(z, dtype=complex))[..., None, None] * b
     eye = np.eye(b.shape[0])
     denom = eye + wb
-    svals = np.linalg.svd(denom, compute_uv=False)
-    # The ``within`` rule, point by point.
-    if (svals[..., -1] <= POLE_RTOL * np.maximum(svals[..., 0], 1.0)).any():
-        raise PoleError("I + 2iz B is singular at the requested point")
+    refuse_stacked_poles(denom, "I + 2iz B")
     numer = eye - wb
     # S = N D^-1, solved as D^T S^T = N^T.
     return np.linalg.solve(denom.swapaxes(-2, -1),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, PoleError
 
 HERMITICITY_RTOL = 1e-12
 POLE_RTOL = 1e-14
@@ -58,6 +58,19 @@ def frozen_matrix(m) -> np.ndarray:
 def within(x: float, tol: float, scale: float = 1.0) -> bool:
     """The package's tolerance rule: x <= tol * max(1, scale)."""
     return x <= tol * max(1.0, scale)
+
+
+def refuse_stacked_poles(mats: np.ndarray, what: str) -> None:
+    """``PoleError`` if any matrix of a checked stack (..., n, n) is singular.
+
+    The ``within`` rule at ``POLE_RTOL``, point by point: the smallest
+    singular value against the largest.  The one singular value of a 1x1
+    matrix is the modulus of its entry.
+    """
+    svals = np.abs(mats[..., 0, :]) if mats.shape[-1] == 1 else np.linalg.svd(
+        mats, compute_uv=False)
+    if (svals[..., -1] <= POLE_RTOL * np.maximum(svals[..., 0], 1.0)).any():
+        raise PoleError(f"{what} is singular at the requested point")
 
 
 def _frozen_vector(v) -> np.ndarray:

@@ -10,7 +10,8 @@ is the rational expression
 and the Weyl function of the regularized triplet attached to R follows
 by the linear fractional transform M(z) = -(R + Mhat(z))^-1.  ``weyl_m``
 evaluates through this overlap-aware form, which the p-adic closed form
-confirms to near machine precision.
+confirms to near machine precision; ``weyl_m_grid`` evaluates it at every
+point of an array of z from the backend's array form of E(z).
 
 For a homogeneous regularization the Weyl function obeys
 
@@ -33,7 +34,7 @@ import numpy as np
 from .errors import PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
 from .triplet import (POLE_RTOL, as_matrix, frozen_matrix, hermitian_within,
-                      within)
+                      refuse_stacked_poles, within)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +56,11 @@ class SpectralModel:
     closed_form_M : callable z -> (n, n) array, optional
         Independent closed form of the Weyl function, used for
         cross-checks when present.
+    resolvent_gram_grid : callable z -> z.shape + (n, n) array, optional
+        The array form of ``resolvent_gram``: E at every point of a finite
+        complex array z, with the same branch rules and errors, for
+        ``weyl_m_grid``.  Without it ``weyl_m_grid`` loops over
+        ``resolvent_gram``.
     """
 
     n: int
@@ -62,6 +68,7 @@ class SpectralModel:
     overlap: np.ndarray
     psi_in_Hminus1: tuple[bool, ...]
     closed_form_M: Callable[[complex], np.ndarray] | None = None
+    resolvent_gram_grid: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         overlap = frozen_matrix(self.overlap)
@@ -138,6 +145,40 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     return WeylEvaluation(z, m, model.closed_form_M)
 
 
+def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
+    """M(z) = -(R + Mhat(z))^-1 at every point of an array of z.
+
+    Returns an array of shape ``np.shape(z) + (n, n)`` that agrees with
+    ``weyl_m`` point by point (to rounding; the array form of E(z) sums in
+    another order).  It raises what ``weyl_m`` raises, if it would at any
+    of the points: ``PoleError`` for a singular R + Mhat(z), ``ValueError``
+    for a z, E(z) or R + Mhat(z) that is not finite or an E(z) of the
+    wrong shape, and the backend's own errors.
+    """
+    r = as_matrix(reg)
+    n = model.n
+    if r.shape[0] != n:
+        raise ValueError("R dimension disagrees with the model")
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
+    if model.resolvent_gram_grid is not None:
+        e = model.resolvent_gram_grid(z)
+    else:
+        rows = [np.atleast_2d(model.resolvent_gram(x)) for x in z.ravel().tolist()]
+        e = np.array(rows, dtype=complex).reshape(z.shape + (rows[0].shape if rows else (n, n)))
+    if e.shape != z.shape + (n, n):
+        raise ValueError("resolvent Gram has the wrong dimension")
+    if not np.isfinite(e).all():
+        raise ValueError("matrix entries must be finite")
+    w = (z + 1.0)[..., None, None]
+    a = r + w * (model.overlap + w * e)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    refuse_stacked_poles(a, "R + Mhat(z)")
+    return -np.linalg.inv(a)
+
+
 def check_weyl_homogeneity(weyl_fn: Callable[[complex], np.ndarray],
                            fam: SymmetryFamily, z: complex, t: float) -> float:
     """Relative residual of p(t) M(z) = Xi(t) M(p(t) z) Xi(t) at one (z, t)."""
@@ -178,6 +219,10 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
     B only: the real-axis eigenvalue search is meaningful for self-adjoint
     realizations.  A bracket whose refined midpoint does not reduce the
     determinant magnitude (a pole crossing rather than a root) is dropped.
+
+    The scan is one ``weyl_m_grid`` call; the bisection and the final
+    check of each bracket call scalar ``weyl_m``, about log2 of the cell
+    width over ``tol`` times per root.
     """
     b = as_matrix(coupling)
     if not hermitian_within(b):
@@ -194,7 +239,7 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
         return d.real
 
     xs = np.linspace(lo, hi, int(num))
-    vals = [det_val(x) for x in xs]
+    vals = np.linalg.det(b - weyl_m_grid(model, reg, xs)).real.tolist()
     roots: list[float] = []
     for k in range(len(xs) - 1):
         f_a, f_b = vals[k], vals[k + 1]

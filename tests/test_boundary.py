@@ -23,6 +23,7 @@ COORDS = sx.BoundaryCoordinates([1.0], [0.5])
 # arguments are valid, for the one-channel p-adic model
 ENTRY_POINTS = {
     "weyl_m (R)": lambda m, spec, r: sx.weyl_m(spec.spectral, m, 0.5j),
+    "weyl_m_grid (R)": lambda m, spec, r: sx.weyl_m_grid(spec.spectral, m, [0.5j, -1.0]),
     "krein_correction (B)": lambda m, spec, r: sx.krein_correction([[1.0j]], m),
     "find_negative_eigenvalues (B)": lambda m, spec, r: sx.find_negative_eigenvalues(
         spec.spectral, r, m, (-3.0, -0.3), num=4),

@@ -31,3 +31,14 @@ def test_weyl_m_next_to_spectrum_is_right_or_refused(scaling, scaling_r, z):
     except (ConvergenceError, PoleError):
         return
     assert abs(got - exact) <= 1e-6 * max(1.0, abs(exact)), got
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: Mhat(z) = (z+1)(overlap + (z+1)E(z)) "
+                   "cancels at large |z|, so point d = 1 loses relative accuracy there")
+@pytest.mark.parametrize("z", [1e4j, -1e6 + 0j])
+def test_point_d1_weyl_m_keeps_its_accuracy_at_large_z(point_models, z):
+    model = point_models[1]
+    r = sx.solve_homogeneous_R(model.family, model.gram).matrix
+    exact = -2.0 * np.sqrt(-z)  # M(z) of the delta interaction on the line
+    got = sx.weyl_m(model.spectral, r, z).matrix[0, 0]
+    assert abs(got - exact) <= 1e-12 * abs(exact), abs(got - exact) / abs(exact)
