@@ -19,8 +19,8 @@ from .models import (ModelSpec, build_one_dim_model, build_padic_model,
                      gram_limit_at_one, model_from_json, model_info)
 from .spectra_scattering import (RealizationSpec, SMatrix,
                                  is_homogeneous_realization,
-                                 is_nonnegative_realization, s_matrix,
-                                 s_matrix_grid, spectrum_ladder)
+                                 is_nonnegative_realization, nonnegative_grid,
+                                 s_matrix, s_matrix_grid, spectrum_ladder)
 from .symmetry import (NotPowerLaw, PowerLaw, SymmetryFamily,
                        ValidationReport, Violation, classify_power_law,
                        validate_family)
@@ -48,7 +48,7 @@ __all__ = [
     "in_realization_domain", "is_homogeneous_realization",
     "is_nonnegative_realization", "is_selfadjoint_realization",
     "krein_correction", "model_from_json", "model_info",
-    "residual_homogeneous", "s_matrix", "s_matrix_grid",
+    "nonnegative_grid", "residual_homogeneous", "s_matrix", "s_matrix_grid",
     "solve_homogeneous_R", "spectrum_ladder", "to_regularized_triplet",
     "validate_family", "weyl_m", "weyl_m_grid",
 ]

@@ -33,11 +33,17 @@ from .errors import ConvergenceError, PoleError
 from .jsonio import decode_complex, decode_matrix, encode_matrix
 from .spectra_scattering import (S_MATRIX_PROVENANCE_NOTE, RealizationSpec,
                                  is_homogeneous_realization,
-                                 is_nonnegative_realization, s_matrix,
-                                 spectrum_ladder)
+                                 is_nonnegative_realization, nonnegative_grid,
+                                 s_matrix, spectrum_ladder)
 from .symmetry import DEFAULT_TOL, check_tol
 from .triplet import HERMITICITY_RTOL, AdmissibleMatrix, CouplingMatrix
 from .weyl import find_negative_eigenvalues, weyl_m
+
+
+# Couplings that ``sweep`` decides per stacked call: the nonnegativity
+# kernel holds a few dozen temporaries per coupling, so an unbounded
+# --count would otherwise need memory in proportion.
+SWEEP_BLOCK = 4096
 
 
 class _MathFailure(Exception):
@@ -224,13 +230,18 @@ def _cmd_sweep(args) -> int:
     lo, hi = _parse_interval(args.b_range)
     writer = csv.writer(sys.stdout, lineterminator="\r\n")
     writer.writerow(["b", "verdict"])
-    for b in np.linspace(lo, hi, args.count):
-        realization = RealizationSpec(CouplingMatrix([[b]]), reg, spec.family)
+    bs = np.linspace(lo, hi, args.count)
+    for start in range(0, len(bs), SWEEP_BLOCK):
+        block = bs[start:start + SWEEP_BLOCK]
         if args.check == "nonneg":
-            verdict = bool(is_nonnegative_realization(realization, args.tol))
+            verdicts = nonnegative_grid(block.reshape(-1, 1, 1), reg,
+                                        args.tol).tolist()
         else:
-            verdict = is_homogeneous_realization(realization, args.tol)
-        writer.writerow([repr(float(b)), "true" if verdict else "false"])
+            verdicts = [is_homogeneous_realization(
+                RealizationSpec(CouplingMatrix([[b]]), reg, spec.family),
+                args.tol) for b in block]
+        for b, verdict in zip(block.tolist(), verdicts):
+            writer.writerow([repr(b), "true" if verdict else "false"])
     return 0
 
 

@@ -30,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .symmetry import DEFAULT_TOL, SymmetryFamily
 from .triplet import (AdmissibleMatrix, CouplingMatrix, as_matrix,
                       frozen_matrix, hermitian_within, refuse_stacked_poles,
-                      within)
+                      within, within_grid)
 
 S_MATRIX_PROVENANCE_NOTE = (
     "closed form established for the orthonormal scaling-invariant model "
@@ -88,43 +89,93 @@ class NonnegativityReport:
         }
 
 
+NONNEGATIVITY_REASONS = (
+    "",
+    "det(BR+I) vanishes",
+    "-(BR+I)^-1 B is not Hermitian",
+    "lower Loewner bound 0 <= X fails",
+    "upper Loewner bound X <= -R^-1 fails",
+)
+
+
+def _fro(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., n, n)."""
+    return np.linalg.norm(mats, axis=(-2, -1))
+
+
+def _nonnegativity_grid(b: np.ndarray, r: np.ndarray, tol: float):
+    """The criterion at every B of a checked stack (..., n, n), for one R.
+
+    Returns (reason, det, x_min, gap_min), each of shape b.shape[:-2]:
+    the index into ``NONNEGATIVITY_REASONS`` (0 for a nonnegative
+    realization), det(BR+I), and the smallest eigenvalues of
+    X = -(BR+I)^-1 B and of -R^-1 - X.  The last two are meaningless
+    where the reason is 1 or 2, which the report gives as None.
+    """
+    b_adj = b.conj().swapaxes(-2, -1)
+    if not within_grid(_fro(b - b_adj), tol, _fro(b)).all():
+        raise ValueError("nonnegativity criterion requires a Hermitian B")
+    svals = np.linalg.svd(r, compute_uv=False)
+    if within(svals[-1], tol, float(svals[0])):
+        raise ValueError("R must be invertible")
+    n = r.shape[0]
+    eye = np.eye(n)
+    k = b @ r + eye
+    det = np.linalg.det(k)
+    singular = within_grid(np.abs(det), tol, _fro(k) ** n)
+    # a singular BR+I is swapped for I: its X is never read
+    x = -np.linalg.solve(np.where(singular[..., None, None], eye, k), b)
+    x_adj = x.conj().swapaxes(-2, -1)
+    x_h = (x + x_adj) / 2
+    x_norm = _fro(x_h)
+    skew = ~within_grid(_fro(x - x_adj), tol, x_norm)
+    x_min = np.linalg.eigvalsh(x_h).min(axis=-1)
+    gap = -np.linalg.inv(r) - x_h
+    gap_h = (gap + gap.conj().swapaxes(-2, -1)) / 2
+    gap_min = np.linalg.eigvalsh(gap_h).min(axis=-1)
+    lower = ~within_grid(-x_min, tol, x_norm)
+    upper = ~within_grid(-gap_min, tol, _fro(gap_h))
+    reason = np.select([singular, skew, lower, upper], [1, 2, 3, 4], 0)
+    return reason, det, x_min, gap_min
+
+
 def is_nonnegative_realization(spec: RealizationSpec,
                                tol: float = DEFAULT_TOL) -> NonnegativityReport:
     """Decide nonnegativity of the realization from (B, R) alone.
 
     Preconditions (not checkable here): R is the unique homogeneous
     solution for orthonormal channels independent of the form-domain
-    scale, and R is invertible.  B must be Hermitian.
+    scale, and R is invertible.  B must be Hermitian.  This is
+    ``nonnegative_grid``'s kernel at one B, with its report.
     """
-    b = spec.B.matrix
-    r = spec.R.matrix
-    if not hermitian_within(b, tol):
-        raise ValueError("nonnegativity criterion requires a Hermitian B")
-    svals = np.linalg.svd(r, compute_uv=False)
-    if within(svals[-1], tol, float(svals[0])):
-        raise ValueError("R must be invertible")
-    n = spec.n
-    k = b @ r + np.eye(n)
-    det = complex(np.linalg.det(k))
-    if within(abs(det), tol, float(np.linalg.norm(k)) ** n):
-        return NonnegativityReport(False, "det(BR+I) vanishes", det, None, None)
-    x = -np.linalg.solve(k, b)
-    x_h = (x + x.conj().T) / 2
-    x_norm = float(np.linalg.norm(x_h))
-    if not within(float(np.linalg.norm(x - x.conj().T)), tol, x_norm):
-        return NonnegativityReport(False, "-(BR+I)^-1 B is not Hermitian",
-                                   det, None, None)
-    x_min = float(np.linalg.eigvalsh(x_h).min())
-    gap = -np.linalg.inv(r) - x_h
-    gap_h = (gap + gap.conj().T) / 2
-    gap_min = float(np.linalg.eigvalsh(gap_h).min())
-    if not within(-x_min, tol, x_norm):
-        return NonnegativityReport(False, "lower Loewner bound 0 <= X fails",
-                                   det, x_min, gap_min)
-    if not within(-gap_min, tol, float(np.linalg.norm(gap_h))):
-        return NonnegativityReport(False, "upper Loewner bound X <= -R^-1 fails",
-                                   det, x_min, gap_min)
-    return NonnegativityReport(True, "", det, x_min, gap_min)
+    reason, det, x_min, gap_min = _nonnegativity_grid(spec.B.matrix,
+                                                      spec.R.matrix, tol)
+    reason = int(reason)
+    if reason in (1, 2):
+        x_min = gap_min = None
+    else:
+        x_min, gap_min = float(x_min), float(gap_min)
+    return NonnegativityReport(reason == 0, NONNEGATIVITY_REASONS[reason],
+                               complex(det), x_min, gap_min)
+
+
+def nonnegative_grid(couplings, reg, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``is_nonnegative_realization`` verdicts over a stack of B, for one R.
+
+    ``couplings`` has shape (..., n, n) and ``reg`` is the n x n R; the
+    result is a boolean array of shape ``np.shape(couplings)[:-2]``.  The
+    same preconditions hold, and it raises what the one-B call raises
+    (``ValueError`` for a B that is not Hermitian or not finite, or an R
+    that is not invertible), if it would for any B of the stack.
+    """
+    r = reg if isinstance(reg, AdmissibleMatrix) else AdmissibleMatrix(reg)
+    b = np.asarray(couplings, dtype=complex)
+    if b.ndim < 2 or b.shape[-2:] != (r.n, r.n):
+        raise DimensionMismatchError(
+            f"expected square {r.n}x{r.n} couplings, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("matrix entries must be finite")
+    return _nonnegativity_grid(b, r.matrix, tol)[0] == 0
 
 
 def is_homogeneous_realization(spec: RealizationSpec,

@@ -60,6 +60,11 @@ def within(x: float, tol: float, scale: float = 1.0) -> bool:
     return x <= tol * max(1.0, scale)
 
 
+def within_grid(x: np.ndarray, tol: float, scale: np.ndarray) -> np.ndarray:
+    """``within`` point by point over arrays x and scale."""
+    return x <= tol * np.maximum(1.0, scale)
+
+
 def refuse_stacked_poles(mats: np.ndarray, what: str) -> None:
     """``PoleError`` if any matrix of a checked stack (..., n, n) is singular.
 
@@ -69,7 +74,7 @@ def refuse_stacked_poles(mats: np.ndarray, what: str) -> None:
     """
     svals = np.abs(mats[..., 0, :]) if mats.shape[-1] == 1 else np.linalg.svd(
         mats, compute_uv=False)
-    if (svals[..., -1] <= POLE_RTOL * np.maximum(svals[..., 0], 1.0)).any():
+    if within_grid(svals[..., -1], POLE_RTOL, svals[..., 0]).any():
         raise PoleError(f"{what} is singular at the requested point")
 
 

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import DimensionMismatchError, PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
 from .triplet import (POLE_RTOL, as_matrix, frozen_matrix, hermitian_within,
                       refuse_stacked_poles, within)
@@ -94,6 +94,16 @@ class WeylEvaluation:
     def __post_init__(self):
         object.__setattr__(self, "matrix", frozen_matrix(self.matrix))
 
+    @classmethod
+    def _fresh(cls, z: complex, matrix: np.ndarray,
+               closed_form_M: Callable[[complex], np.ndarray] | None):
+        """An evaluation of a fresh, checked, read-only matrix, stored as is."""
+        ev = object.__new__(cls)
+        object.__setattr__(ev, "z", z)
+        object.__setattr__(ev, "matrix", matrix)
+        object.__setattr__(ev, "closed_form_M", closed_form_M)
+        return ev
+
     @property
     def closed_form_residual(self) -> float | None:
         """Relative discrepancy against the closed form, None without one."""
@@ -113,9 +123,11 @@ def _invert_or_pole(mat: np.ndarray, what: str) -> np.ndarray:
 
 
 def _m_hat_raw(model: SpectralModel, z: complex) -> np.ndarray:
-    e = np.atleast_2d(np.asarray(model.resolvent_gram(z), dtype=complex))
-    if e.shape != (model.n, model.n):  # its finiteness: that of R + Mhat(z)
-        raise ValueError("resolvent Gram has the wrong dimension")
+    e = model.resolvent_gram(z)
+    if getattr(e, "shape", None) != (model.n, model.n):
+        e = np.atleast_2d(np.asarray(e, dtype=complex))  # a scalar for n = 1
+        if e.shape != (model.n, model.n):  # its finiteness: that of R + Mhat(z)
+            raise ValueError("resolvent Gram has the wrong dimension")
     w = z + 1.0
     return w * (model.overlap + w * e)
 
@@ -131,18 +143,21 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     of the wrong shape raise ``ValueError``.  When the model carries a
     closed form, the evaluation reports its discrepancy on access.
     """
-    r = as_matrix(reg)
-    if r.shape[0] != model.n:
-        raise ValueError("R dimension disagrees with the model")
+    r = np.asarray(getattr(reg, "matrix", reg), dtype=complex)
+    if r.shape != (model.n, model.n):
+        r = as_matrix(r)  # a scalar R for n = 1, or the refusal of a bad one
+        if r.shape[0] != model.n:
+            raise ValueError("R dimension disagrees with the model")
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
     a = r + _m_hat_raw(model, z)
-    if not np.isfinite(a).all():
+    if not np.isfinite(a).all():  # R's finiteness too
         raise ValueError("matrix entries must be finite")
-    m = -_invert_or_pole(a, "R + Mhat(z)")
+    m = _invert_or_pole(a, "R + Mhat(z)")
+    np.negative(m, out=m)
     m.setflags(write=False)  # fresh: frozen in place, stored without a copy
-    return WeylEvaluation(z, m, model.closed_form_M)
+    return WeylEvaluation._fresh(z, m, model.closed_form_M)
 
 
 def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
@@ -215,8 +230,10 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
     """Roots of det(B - M(x)) on an interval of the negative axis.
 
     Scans ``num`` >= 2 grid points for sign changes of the (real)
-    determinant and bisects each bracket to width ``tol`` > 0.  Hermitian
-    B only: the real-axis eigenvalue search is meaningful for self-adjoint
+    determinant and bisects each bracket to width ``tol`` > 0.  B must be
+    n x n for the model's n channels (``DimensionMismatchError``
+    otherwise; it is never broadcast against M(x)), and Hermitian: the
+    real-axis eigenvalue search is meaningful for self-adjoint
     realizations.  A bracket whose refined midpoint does not reduce the
     determinant magnitude (a pole crossing rather than a root) is dropped.
 
@@ -225,6 +242,9 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
     width over ``tol`` times per root.
     """
     b = as_matrix(coupling)
+    if b.shape[0] != model.n:
+        raise DimensionMismatchError(
+            f"B is {b.shape[0]}x{b.shape[0]} but the model has n={model.n}")
     if not hermitian_within(b):
         raise ValueError("eigenvalue search requires a Hermitian B")
     lo, hi = float(search_interval[0]), float(search_interval[1])

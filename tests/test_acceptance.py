@@ -1,8 +1,10 @@
 """Acceptance gate: every criterion runs at its pinned tolerance and
 prints one pass/fail line."""
 
+import numpy as np
 import pytest
 
+import singext as sx
 from singext import acceptance
 
 
@@ -13,3 +15,39 @@ def test_criterion(number):
     print(f"ACCEPTANCE {result.number}: {status} - {result.title} "
           f"[{result.detail}]")
     assert result.passed, f"criterion {result.number}: {result.detail}"
+
+
+def test_criterion_6_grid_scan_gives_the_scalar_scan_verdicts(scaling, scaling_r):
+    # criterion 6 scans M(x) with one weyl_m_grid call; the two routes
+    # round differently, so no swept b may lie within rounding of a value
+    xs = np.linspace(-50.0, -1e-4, 10 ** 4)
+    grid = sx.weyl_m_grid(scaling.spectral, scaling_r, xs)[:, 0, 0].real
+    scalar = np.array([sx.weyl_m(scaling.spectral, scaling_r, x).matrix[0, 0].real
+                       for x in xs])
+    for b in np.linspace(-5.0, 5.0, 200).tolist():
+        assert (acceptance.negative_axis_root_oracle(grid, b)
+                == acceptance.negative_axis_root_oracle(scalar, b)), b
+        assert min(np.abs(b - grid).min(), np.abs(b - scalar).min()) >= 1e-9, b
+
+
+def _sign_change_rule(m_values, b):
+    """The scan oracle spelled out point by point: b - M vanishes at a
+    sample or changes sign between neighbours, or a root lies off an edge."""
+    diffs = b - m_values
+    if np.any(diffs == 0.0) or np.any(np.sign(diffs[:-1]) != np.sign(diffs[1:])):
+        return True
+    return 0.0 < b < m_values[0] or b > m_values[-1] > 0.0
+
+
+def test_root_oracle_is_the_sign_change_rule(scaling, scaling_r):
+    rng = np.random.default_rng(6)
+    xs = np.linspace(-50.0, -1e-4, 10 ** 4)
+    scans = [sx.weyl_m_grid(scaling.spectral, scaling_r, xs)[:, 0, 0].real]
+    # rough and repeated values, with b at samples, between them and outside
+    scans += [rng.normal(size=k) for k in (1, 2, 5, 40)]
+    scans += [rng.integers(-3, 4, size=30).astype(float), np.array([2.0, 2.0, 1.0])]
+    for m in scans:
+        bs = np.concatenate([np.linspace(-5.0, 5.0, 200), m, m + 1e-12,
+                             [m.min() - 1.0, m.max() + 1.0, 0.0]])
+        got = acceptance.negative_axis_root_oracle(m, bs)
+        assert got.tolist() == [_sign_change_rule(m, b) for b in bs.tolist()]

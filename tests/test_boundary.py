@@ -27,6 +27,8 @@ ENTRY_POINTS = {
     "krein_correction (B)": lambda m, spec, r: sx.krein_correction([[1.0j]], m),
     "find_negative_eigenvalues (B)": lambda m, spec, r: sx.find_negative_eigenvalues(
         spec.spectral, r, m, (-3.0, -0.3), num=4),
+    "nonnegative_grid (B)": lambda m, spec, r: sx.nonnegative_grid(m[None], r),
+    "nonnegative_grid (R)": lambda m, spec, r: sx.nonnegative_grid([[[-1.0]]], m),
     "s_matrix": lambda m, spec, r: sx.s_matrix(m, 0.4),
     "s_matrix_grid": lambda m, spec, r: sx.s_matrix_grid(m, np.array([0.4, 0.4 + 0.9j])),
     "is_selfadjoint_realization": lambda m, spec, r: sx.is_selfadjoint_realization(m),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import singext as sx
+from singext import cli
 from singext.cli import run
 from singext.jsonio import decode_complex, decode_matrix, encode_matrix
 
@@ -188,6 +189,17 @@ def test_sweep_homogeneous_check(capsys):
                          "0.5,false", "1.0,false"]
 
 
+@pytest.mark.parametrize("check", ["nonneg", "homogeneous"])
+def test_sweep_in_blocks_prints_what_one_block_prints(capsys, monkeypatch, check):
+    argv = ["sweep", "--kind", "ScalingInvariant3D", "--alpha", "1.5",
+            "--range=-1,1", "--count", "11", "--check", check]
+    _, whole = invoke(capsys, *argv)
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 4)
+    _, blocks = invoke(capsys, *argv)
+    assert blocks == whole
+    assert len(whole.splitlines()) == 12
+
+
 def test_byte_identical_repeat_invocations(capsys):
     _, first = invoke(capsys, "solve-r", "--kind", "ScalingInvariant3D",
                       "--alpha", "1.5")
@@ -247,6 +259,15 @@ def test_spectrum_rejects_non_hermitian_coupling(capsys):
                                 "--B", "[[[0.0, 1.0]]]", "--interval=-3,-0.3")
     assert code == 2
     assert "error" in payload
+
+
+def test_spectrum_refuses_a_coupling_of_the_wrong_size(capsys):
+    code, payload = invoke_json(capsys, "spectrum", "--kind", "ScalingInvariant3D",
+                                "--alpha", "1.5", "--n", "2", "--B", "[[0.3]]",
+                                "--interval=-3,-0.1")
+    assert code == 2
+    assert payload == {"command": "spectrum",
+                       "error": "B is 1x1 but the model has n=2"}
 
 
 def test_matrix_io_round_trip():

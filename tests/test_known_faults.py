@@ -10,6 +10,7 @@ import pytest
 
 import singext as sx
 from singext.errors import ConvergenceError, PoleError
+from singext.models import padic_closed_form_m
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the sign-change search of "
@@ -41,4 +42,28 @@ def test_point_d1_weyl_m_keeps_its_accuracy_at_large_z(point_models, z):
     r = sx.solve_homogeneous_R(model.family, model.gram).matrix
     exact = -2.0 * np.sqrt(-z)  # M(z) of the delta interaction on the line
     got = sx.weyl_m(model.spectral, r, z).matrix[0, 0]
+    assert abs(got - exact) <= 1e-12 * abs(exact), abs(got - exact) / abs(exact)
+
+
+# The rest of ROADMAP item 2's large-|z| table, at the same 1e-12 relative.
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the cancellation in "
+                   "overlap + (z+1)E(z) also costs the one-dim delta channel its "
+                   "relative accuracy at large |z|")
+@pytest.mark.parametrize("z", [1e4j, -1e6 + 0j])
+def test_one_dim_delta_channel_keeps_its_accuracy_at_large_z(one_dim, z):
+    r = sx.solve_homogeneous_R(one_dim.family, one_dim.gram).matrix
+    # item 6's power law M_11(z) = M_11(-1) (-z)^(1/2): p(t) = t^-2 and
+    # xi_1(t) = t^-1/2 give gamma_11 = 1 - log(xi_1^2) / log p = 1/2
+    exact = sx.weyl_m(one_dim.spectral, r, -1.0).matrix[0, 0] * np.sqrt(-z)
+    got = sx.weyl_m(one_dim.spectral, r, z).matrix[0, 0]
+    assert abs(got - exact) <= 1e-12 * abs(exact), abs(got - exact) / abs(exact)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the E(z) route of the "
+                   "p-adic (2, 3/2) model loses relative accuracy at large |z|")
+@pytest.mark.parametrize("z", [-1e6 + 0j, 1e8j])
+def test_padic_weyl_m_keeps_its_accuracy_at_large_z(padic, padic_r, z):
+    exact = padic_closed_form_m(2, 1.5)(z)[0, 0]
+    got = sx.weyl_m(padic.spectral, padic_r, z).matrix[0, 0]
     assert abs(got - exact) <= 1e-12 * abs(exact), abs(got - exact) / abs(exact)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import singext as sx
-from singext.errors import PoleError
-from singext.spectra_scattering import (RealizationSpec, S_MATRIX_PROVENANCE_NOTE,
-                                        NonnegativityReport)
+from singext.errors import DimensionMismatchError, PoleError
+from singext.spectra_scattering import (NONNEGATIVITY_REASONS, RealizationSpec,
+                                        S_MATRIX_PROVENANCE_NOTE,
+                                        NonnegativityReport, _nonnegativity_grid)
 from singext.symmetry import SymmetryFamily
-from singext.triplet import AdmissibleMatrix, CouplingMatrix
+from singext.triplet import AdmissibleMatrix, CouplingMatrix, within
 
 
 def realization(b, r=-2.0, family=None):
@@ -60,6 +61,93 @@ def test_report_is_jsonable():
     assert isinstance(report, NonnegativityReport)
     blob = report.to_json()
     assert blob["nonnegative"] is True
+
+
+def _hermitian_stack(rng, n, count):
+    raw = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    scale = rng.choice([0.01, 1.0, 10.0], size=(count, 1, 1))
+    return scale * (raw + raw.conj().swapaxes(-2, -1)) / 2
+
+
+def _stack_cases():
+    """(B stack, R, tol) per n = 1..4, seeded; they reach every reason."""
+    rng = np.random.default_rng(2024)
+    # R = -2: pass at b <= 0, det(BR+I) = 0 at b = 1/2, X < 0 for 0 < b < 1/2
+    # and X > -R^-1 = 1/2 for b > 1/2
+    hand = np.array([-1.0, 0.0, 0.5, 0.25, 2.0]).reshape(-1, 1, 1)
+    yield np.concatenate([hand, _hermitian_stack(rng, 1, 40).real]), np.array([[-2.0]]), 1e-10
+    for n in (2, 3, 4):
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        r = (raw + raw.conj().T) / 2 - 3.0 * np.eye(n)
+        r_inv = -np.linalg.inv(r)
+        singular = (r_inv + r_inv.conj().T) / 2  # BR + I = 0 up to rounding
+        stack = np.concatenate([singular[None], np.zeros((1, n, n)),
+                                _hermitian_stack(rng, n, 40)])
+        # at tol 1e-18 the rounding of X = -(BR+I)^-1 B shows as skewness
+        for tol in (1e-10, 1e-18):
+            yield stack, r, tol
+
+
+def _one_coupling_reference(b, r, tol):
+    """The criterion for one B, step by step with early returns: the
+    reference for the stacked kernel (its norms are those of 2-D arrays)."""
+    n = b.shape[0]
+    k = b @ r + np.eye(n)
+    det = complex(np.linalg.det(k))
+    if within(abs(det), tol, float(np.linalg.norm(k)) ** n):
+        return NonnegativityReport(False, "det(BR+I) vanishes", det, None, None)
+    x = -np.linalg.solve(k, b)
+    x_h = (x + x.conj().T) / 2
+    x_norm = float(np.linalg.norm(x_h))
+    if not within(float(np.linalg.norm(x - x.conj().T)), tol, x_norm):
+        return NonnegativityReport(False, "-(BR+I)^-1 B is not Hermitian",
+                                   det, None, None)
+    x_min = float(np.linalg.eigvalsh(x_h).min())
+    gap = -np.linalg.inv(r) - x_h
+    gap_h = (gap + gap.conj().T) / 2
+    gap_min = float(np.linalg.eigvalsh(gap_h).min())
+    if not within(-x_min, tol, x_norm):
+        return NonnegativityReport(False, "lower Loewner bound 0 <= X fails",
+                                   det, x_min, gap_min)
+    if not within(-gap_min, tol, float(np.linalg.norm(gap_h))):
+        return NonnegativityReport(False, "upper Loewner bound X <= -R^-1 fails",
+                                   det, x_min, gap_min)
+    return NonnegativityReport(True, "", det, x_min, gap_min)
+
+
+def test_stacked_kernel_is_the_one_coupling_report_bit_for_bit():
+    reasons = set()
+    for stack, r, tol in _stack_cases():
+        reg = AdmissibleMatrix(r)
+        grid = _nonnegativity_grid(stack.astype(complex), r.astype(complex), tol)
+        verdicts = sx.nonnegative_grid(stack, reg, tol)
+        for i, b in enumerate(stack):
+            one = sx.is_nonnegative_realization(
+                RealizationSpec(CouplingMatrix(b), reg), tol)
+            ref = _one_coupling_reference(b.astype(complex), r.astype(complex), tol)
+            assert repr(one) == repr(ref)
+            reason, det, x_min, gap_min = (field[i] for field in grid)
+            assert NONNEGATIVITY_REASONS[reason] == one.reason
+            assert verdicts[i] == one.nonnegative == (reason == 0)
+            assert repr(complex(det)) == repr(one.det_value)
+            if reason in (1, 2):
+                assert one.x_min_eig is None and one.gap_min_eig is None
+            else:
+                assert repr(float(x_min)) == repr(one.x_min_eig)
+                assert repr(float(gap_min)) == repr(one.gap_min_eig)
+            reasons.add(one.reason)
+    assert reasons == set(NONNEGATIVITY_REASONS)
+
+
+def test_stacked_kernel_refuses_what_the_one_coupling_call_refuses():
+    reg = AdmissibleMatrix([[-2.0]])
+    with pytest.raises(ValueError, match="Hermitian B"):
+        sx.nonnegative_grid([[[-1.0]], [[1.0j]]], reg)
+    with pytest.raises(ValueError, match="invertible"):
+        sx.nonnegative_grid([[[-1.0]]], [[0.0]])
+    with pytest.raises(DimensionMismatchError):
+        sx.nonnegative_grid(np.zeros((3, 2, 2)), reg)
+    assert sx.nonnegative_grid(np.zeros((0, 1, 1)), reg).shape == (0,)
 
 
 # homogeneity ---------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import singext as sx
-from singext.errors import PoleError
+from singext.errors import DimensionMismatchError, PoleError
 from singext.weyl import SpectralModel, _m_hat_raw, hermitian_imag_min_eig
 
 LAMBDA0 = 2.0
@@ -194,6 +194,16 @@ def test_find_requires_hermitian_coupling(padic, padic_r):
     with pytest.raises(ValueError):
         sx.find_negative_eigenvalues(padic.spectral, padic_r,
                                      [[1.0j]], (-3.0, -0.3))
+
+
+@pytest.mark.parametrize("coupling", [[[0.3]], np.full((3, 3), 0.3)])
+def test_find_refuses_a_coupling_of_the_wrong_size(coupling):
+    # a 1x1 B on a two-channel model used to broadcast against M(x) and
+    # return a root near -0.694
+    model = sx.build_scaling_invariant_3d(1.5, n=2)
+    r = sx.solve_homogeneous_R(model.family, model.gram).matrix
+    with pytest.raises(DimensionMismatchError, match="n=2"):
+        sx.find_negative_eigenvalues(model.spectral, r, coupling, (-3.0, -0.1))
 
 
 def test_find_requires_negative_interval(padic, padic_r):
