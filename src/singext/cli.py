@@ -228,9 +228,11 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep drives a scalar coupling; the model must have n=1")
     reg = AdmissibleMatrix(_solve_unique_r(spec, args.tol))
     lo, hi = _parse_interval(args.b_range)
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"--range must be finite, got {args.b_range!r}")
+    bs = np.linspace(lo, hi, args.count)  # refuses a negative count before the header
     writer = csv.writer(sys.stdout, lineterminator="\r\n")
     writer.writerow(["b", "verdict"])
-    bs = np.linspace(lo, hi, args.count)
     for start in range(0, len(bs), SWEEP_BLOCK):
         block = bs[start:start + SWEEP_BLOCK]
         if args.check == "nonneg":

@@ -1,7 +1,7 @@
-"""JSON encoding of complex scalars, vectors and matrices.
+"""JSON encoding of complex scalars and matrices.
 
-Complex numbers are encoded as two-element ``[re, im]`` arrays; vectors
-and matrices nest accordingly.  Decoders also accept plain real numbers
+Complex numbers are encoded as two-element ``[re, im]`` arrays; matrices
+nest accordingly.  Decoders also accept plain real numbers
 (and, for matrices, depth-2 nesting of reals) so that hand-written
 inputs like ``[[0.5, 0], [0, -0.5]]`` work on the command line.
 """
@@ -17,10 +17,6 @@ import numpy as np
 def encode_complex(value) -> list[float]:
     z = complex(value)
     return [float(z.real), float(z.imag)]
-
-
-def encode_vector(vec) -> list[list[float]]:
-    return [encode_complex(v) for v in np.asarray(vec).ravel()]
 
 
 def encode_matrix(mat) -> list[list[list[float]]]:
@@ -67,12 +63,3 @@ def decode_matrix(obj) -> np.ndarray:
             [[decode_complex(v) for v in row] for row in obj], dtype=complex
         )
     raise ValueError("matrix JSON must nest 2 deep (real) or 3 deep ([re,im])")
-
-
-def decode_vector(obj) -> np.ndarray:
-    depth = _nesting_depth(obj)
-    if depth == 1:
-        return np.asarray(obj, dtype=float).astype(complex)
-    if depth == 2:
-        return np.asarray([decode_complex(v) for v in obj], dtype=complex)
-    raise ValueError("vector JSON must nest 1 deep (real) or 2 deep ([re,im])")

@@ -20,7 +20,8 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
     (1 + |y|^2).  This is the scaling-invariant case nu = d/2: the Gram
     data are the ``ScalingInvariant3D`` closed form at alpha = nu (with
     the limit t log t / (t^2 - 1) at d = 2) times (2pi)^-d |S^(d-1)|,
-    and E(z) is that of ``radial_resolvent_closed`` at nu = d/2.
+    and so are E(z) (``radial_resolvent_closed``) and Mhat(z)
+    (``radial_m_hat``) at nu = d/2.
 
 ``PAdicVladimirov`` (prime p, exponent alpha > 1/2)
     Fractional p-adic differentiation of order alpha with a delta
@@ -29,10 +30,11 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
     eigenbasis with eigenvalue lambda_N = p^(alpha(1-N)) and coefficient
     c_N = p^(-N/2) / (lambda_N + 1) at scale N, p-1 wavelets per scale;
     U_{p^m} shifts N by m: Gram data are series in c_N c_(N+m), and
-    E(z) = (p-1) sum_N c_N^2 / (lambda_N - z).  For alpha > 1 the closed
-    series M(z) = -1 / ((p-1) sum_N p^-N / (lambda_N - z)) is attached
-    for cross-checks.  All three series run over one table of scales
-    built once per (p, alpha) and check a tail bound.
+    E(z) = (p-1) sum_N c_N^2 / (lambda_N - z), from which the model
+    assembles Mhat(z) = w (overlap + w E(z)), w = z + 1.  For alpha > 1
+    the closed series M(z) = -1 / ((p-1) sum_N p^-N / (lambda_N - z)) is
+    attached for cross-checks.  All three series run over one table of
+    scales built once per (p, alpha) and check a tail bound.
 
 ``ScalingInvariant3D`` (alpha in (1, 2), channel Gram (m_i, m_j))
     The free Laplacian in three dimensions with n channels built from
@@ -45,17 +47,24 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
     For orthonormal channels ((m_j, m_j) normalized against the squared
     defect norm) beta_alpha = c_alpha / norm = 1 / (alpha - 1) is
     attached.  Both constants are closed forms (``scaling_constants``);
-    E(z) is that of ``radial_resolvent_closed`` at nu = alpha.
+    E(z) and Mhat(z) are ``radial_resolvent_closed`` and ``radial_m_hat``
+    at nu = alpha times (m_i, m_j).
 
 Sample grids default to the geometric set {2^k : k = -3..3} (in the
 p-adic case {p^m : m = -3..3}), enough points to expose inconsistency
 in the homogeneity system.  Every model is built from closed forms and
-the p-adic scale table; no build integrates.  Each backend also gives
-E(z) in array form (``SpectralModel.resolvent_gram_grid``) for
-``weyl_m_grid``: ``radial_resolvent_grid``, ``np.sqrt`` in the one-dim
-form and ``padic_resolvent_grid``.  The quadratures
+the p-adic scale table; no build integrates.  Each backend gives
+Mhat(z), the Weyl function of the plain defect triplet, at one z and
+over an array of z (``SpectralModel.m_hat`` and ``m_hat_grid``): the
+closed forms ``radial_m_hat`` and ``radial_m_hat_grid`` for the point
+and scaling models, diag((1-u)/(2u), (1-u)/2) with u = sqrt(-z) for the
+one-dim model, and the series E(z) for the p-adic model.  The scalar
+E(z) functions (``radial_resolvent_closed``, ``e_alpha``,
+``point_interaction_resolvent``, ``_one_dim_resolvent`` and
+``padic_resolvent``) give the independent check
+Mhat(z) = (z+1) (overlap + (z+1) E(z)).  The quadratures
 ``one_dim_gram_quadrature``, ``radial_resolvent_integral``, ``c_alpha``
-and ``h_norm_integral`` stay as independent checks.
+and ``h_norm_integral`` stay as independent checks too.
 """
 
 from __future__ import annotations
@@ -162,12 +171,18 @@ def _one_dim_resolvent(z: complex) -> np.ndarray:
     return np.diag([e11, e22])
 
 
-def _one_dim_resolvent_grid(z: np.ndarray) -> np.ndarray:
-    u = np.sqrt(-z)
-    e = np.zeros(z.shape + (2, 2), dtype=complex)
-    e[..., 0, 0] = (u + 2.0) / (4.0 * u * (1.0 + u) ** 2)
-    e[..., 1, 1] = 1.0 / (4.0 * (1.0 + u) ** 2)
-    return e
+def _one_dim_m_hat(z) -> np.ndarray:
+    """Mhat = diag((1-u)/(2u), (1-u)/2), u = sqrt(-z), at a complex z or at
+    every point of an array of z; real z > 0 on the upper rim of the cut,
+    and ``PoleError`` at z = 0, where the delta channel's entry diverges."""
+    # + 0j turns an imaginary part -0.0 into +0.0, as in ``radial_m_hat``
+    u = np.sqrt(-(np.asarray(z, dtype=complex) + 0j))
+    if not u.all():
+        raise PoleError("Mhat of the delta channel diverges at z = 0")
+    out = np.zeros(u.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = (1.0 - u) / (2.0 * u)
+    out[..., 1, 1] = (1.0 - u) / 2.0
+    return out
 
 
 def _geometric_samples(base: float, exponents) -> tuple[list[float], dict[float, float]]:
@@ -192,10 +207,10 @@ def build_one_dim_model() -> ModelSpec:
     gram = GramFunction({t: one_dim_gram_closed(t) for t in samples})
     spectral = SpectralModel(
         n=2,
-        resolvent_gram=_one_dim_resolvent,
+        m_hat=_one_dim_m_hat,
         overlap=np.diag([0.25, 0.25]),
         psi_in_Hminus1=(True, False),
-        resolvent_gram_grid=_one_dim_resolvent_grid,
+        m_hat_grid=_one_dim_m_hat,
     )
     return ModelSpec(KIND_ONE_DIM, {}, family, gram, spectral,
                      ("delta", "delta_prime"))
@@ -246,8 +261,9 @@ def radial_resolvent_closed(nu: float, z: complex) -> complex:
     if z.imag == 0.0 and z.real <= 0.0:
         w, log, expm1 = -z.real, math.log, math.expm1
     else:
-        # -0.0 puts real z > 0 on the upper rim of the cut.
-        w, log, expm1 = complex(-z.real, -z.imag if z.imag else -0.0), cmath.log, _expm1
+        # + 0j turns an imaginary part -0.0 into +0.0, so -z puts real
+        # z > 0 on the upper rim of the cut.
+        w, log, expm1 = -(z + 0j), cmath.log, _expm1
     x = w - 1.0
     if abs(x) < TAYLOR_RADIUS:
         # The coefficients (K/2) binom(nu-1, k) of x^(k-2), (-1)^k / (2k) at
@@ -291,62 +307,55 @@ def _radial_constants(nu: float) -> tuple[float, float]:
         math.pi * (s if abs(s) <= 0.5 else math.copysign(1.0, s) - s))
 
 
-def radial_resolvent_grid(nu: float, z: np.ndarray) -> np.ndarray:
-    """``radial_resolvent_closed`` at every point of a finite complex array z.
+def radial_m_hat(nu: float, z: complex) -> complex:
+    """Mhat(z) per unit channel prefactor of the point and scaling models.
 
-    The same branches: real z <= 0 in real arithmetic, the Taylor series
-    within ``TAYLOR_RADIUS`` of z = -1 (summed until its last term is below
-    1e-17 of the sum at every point of the disc), the boundary value at
-    real z > 0 and ``PoleError`` at z = 0 for nu <= 1.
+    With w = -z on the principal branch and K = pi / sin(pi nu),
+
+        Mhat = (K/2) expm1((nu-1) log w)     (nu != 1),
+        Mhat = -log(w) / 2                   (nu = 1),
+
+    the closed form of (z+1) (N + (z+1) I_nu(z)) with I_nu the integral of
+    ``radial_resolvent_closed`` and N = int r^(2nu-1) / (1+r^2)^2 dr the
+    overlap: both equal int r^(2nu-1) (1/(r^2-z) - 1/(r^2+1)) dr, and
+    neither form cancels at large |z|.  Real z > 0 gives the boundary
+    value Mhat(z + i0) from the upper half-plane.  At z = 0 it is -K/2
+    for nu > 1; otherwise ``PoleError``.
+    """
+    s, half_k = _radial_constants(nu)
+    z = complex(z)
+    if z.imag == 0.0 and z.real <= 0.0:
+        if z.real == 0.0:
+            if s <= 0.0:
+                raise PoleError(f"Mhat diverges at z = 0 for nu = {nu!r}")
+            return complex(-half_k)
+        w, log, expm1 = -z.real, math.log, math.expm1
+    else:
+        # + 0j turns an imaginary part -0.0 into +0.0, so -z puts real
+        # z > 0 on the upper rim of the cut.
+        w, log, expm1 = -(z + 0j), cmath.log, _expm1
+    log_w = log(w)
+    return complex(half_k * expm1(s * log_w) if s else -0.5 * log_w)
+
+
+def radial_m_hat_grid(nu: float, z: np.ndarray) -> np.ndarray:
+    """``radial_m_hat`` at every point of a finite complex array z.
+
+    Real arithmetic when every z is real and <= 0, as in the scalar
+    kernel; otherwise complex, with real z > 0 on the upper rim.  The
+    same value and ``PoleError`` at z = 0, with no numpy warning.
     """
     s, half_k = _radial_constants(nu)
     z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
     zero = z == 0.0
-    if zero.any():
-        if s <= 0.0:
-            raise PoleError(f"the resolvent integral diverges at z = 0 for nu = {nu!r}")
-        out[zero] = half_k * (s - 1.0)
-    real = (z.imag == 0.0) & (z.real < 0.0)
-    out[real] = _radial_closed_at(s, half_k, -z.real[real])
-    rest = z[~(real | zero)]
-    w = np.empty_like(rest)
-    w.real = -rest.real
-    w.imag = np.where(rest.imag != 0.0, -rest.imag, -0.0)  # the upper rim, as above
-    out[~(real | zero)] = _radial_closed_at(s, half_k, w)
-    return out
-
-
-def _radial_closed_at(s: float, half_k: float, w: np.ndarray) -> np.ndarray:
-    """The closed form at a 1-D array of nonzero w = -z, real or complex."""
-    out = np.empty_like(w)
-    x = w - 1.0
-    disc = np.abs(x) < TAYLOR_RADIUS
-    if disc.any():
-        coeff = half_k * s * (s - 1.0) / 2.0 if s else 0.25
-        x_disc = x[disc]
-        power = np.ones_like(x_disc)
-        term = total = np.full_like(power, coeff)
-        k = 2
-        while (np.abs(term) > 1e-17 * np.abs(total)).any():
-            coeff *= (s - k) / (k + 1.0)
-            power = power * x_disc
-            k += 1
-            term = coeff * power
-            total = total + term
-        out[disc] = total
-    rest = ~disc
-    w, x = w[rest], x[rest]
+    if s <= 0.0 and zero.any():
+        raise PoleError(f"Mhat diverges at z = 0 for nu = {nu!r}")
+    complex_w = z.imag.any() or (z.real > 0.0).any()
+    # log 1 = 0 at z = 0, set below; + 0j as in the scalar kernel
+    w = np.where(zero, 1.0, -(z + 0j) if complex_w else -z.real)
     log_w = np.log(w)
-    if not s:
-        out[rest] = (x - log_w) / (2.0 * x * x)
-        return out
-    if s > 0.5:
-        num = w * _expm1_grid((s - 1.0) * log_w) + (1.0 - s) * x
-    else:
-        num = _expm1_grid(s * log_w) - s * x
-    out[rest] = half_k * num / (x * x)
-    return out
+    return np.where(zero, complex(-half_k),
+                    half_k * _expm1_grid(s * log_w) if s else -0.5 * log_w)
 
 
 def _expm1_grid(u: np.ndarray) -> np.ndarray:
@@ -382,11 +391,6 @@ def point_interaction_resolvent(d: int, z: complex) -> complex:
     return (2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d] * integral
 
 
-def _point_resolvent_grid(d: int, z: np.ndarray) -> np.ndarray:
-    integral = radial_resolvent_grid(d / 2.0, z)
-    return ((2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d] * integral)[..., None, None]
-
-
 def build_point_interaction(d: int) -> ModelSpec:
     """Single delta interaction for the free Laplacian in d = 1, 2, 3."""
     if d not in (1, 2, 3):
@@ -394,12 +398,13 @@ def build_point_interaction(d: int) -> ModelSpec:
     family = _scaling_family(d / 2.0, 1)
     gram = GramFunction({t: [[point_interaction_gram(d, t)]]
                          for t in family.sample_points})
+    nu, prefactor = d / 2.0, (2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d]
     spectral = SpectralModel(
         n=1,
-        resolvent_gram=lambda z: np.array([[point_interaction_resolvent(d, z)]]),
+        m_hat=lambda z: np.array([[prefactor * radial_m_hat(nu, z)]]),
         overlap=[[point_interaction_gram(d, 1.0)]],
         psi_in_Hminus1=(d == 1,),
-        resolvent_gram_grid=functools.partial(_point_resolvent_grid, d),
+        m_hat_grid=lambda z: (prefactor * radial_m_hat_grid(nu, z))[..., None, None],
     )
     return ModelSpec(KIND_POINT, {"d": int(d)}, family, gram, spectral,
                      ("delta",))
@@ -578,8 +583,7 @@ def padic_closed_form_m(p: int, alpha: float) -> Callable[[complex], np.ndarray]
     return lambda z: np.array([[-1.0 / _padic_series(p, alpha, complex(z), closed=True)]])
 
 
-def build_padic_model(p: int, alpha: float,
-                      exponents: range = GEOMETRIC_EXPONENTS) -> ModelSpec:
+def build_padic_model(p: int, alpha: float) -> ModelSpec:
     """Fractional p-adic differentiation of order alpha with a delta channel.
 
     Requires a prime p and alpha > 1/2 (the delta functional is defined
@@ -594,7 +598,7 @@ def build_padic_model(p: int, alpha: float,
     alpha = float(alpha)
     if alpha <= 0.5:
         raise ValueError("alpha must exceed 1/2")
-    ts, conjugate = _geometric_samples(p, exponents)
+    ts, conjugate = _geometric_samples(p, GEOMETRIC_EXPONENTS)
     family = SymmetryFamily(
         ts,
         conjugate,
@@ -602,15 +606,25 @@ def build_padic_model(p: int, alpha: float,
         [{t: math.sqrt(t) for t in ts}],
     )
     gram = GramFunction(
-        {float(p) ** m: [[padic_gram(p, alpha, m)]] for m in exponents})
+        {float(p) ** m: [[padic_gram(p, alpha, m)]] for m in GEOMETRIC_EXPONENTS})
     closed = padic_closed_form_m(p, alpha) if alpha > 1.0 else None
+    overlap = np.array([[padic_gram(p, alpha, 0)]], dtype=complex)
+
+    def m_hat(z):  # w (overlap + w E(z)), w = z + 1, over the series E
+        w = z + 1.0
+        return w * (overlap + w * np.array([[padic_resolvent(p, alpha, z)]]))
+
+    def m_hat_grid(z):
+        w = (z + 1.0)[..., None, None]
+        return w * (overlap + w * padic_resolvent_grid(p, alpha, z)[..., None, None])
+
     spectral = SpectralModel(
         n=1,
-        resolvent_gram=lambda z: np.array([[padic_resolvent(p, alpha, z)]]),
-        overlap=[[padic_gram(p, alpha, 0)]],
+        m_hat=m_hat,
+        overlap=overlap,
         psi_in_Hminus1=(alpha > 1.0,),
         closed_form_M=closed,
-        resolvent_gram_grid=lambda z: padic_resolvent_grid(p, alpha, z)[..., None, None],
+        m_hat_grid=m_hat_grid,
     )
     return ModelSpec(KIND_PADIC, {"p": p, "alpha": alpha}, family, gram,
                      spectral, ("delta",))
@@ -703,10 +717,10 @@ def build_scaling_invariant_3d(alpha: float, m_gram=None,
     orthonormal = bool(np.linalg.norm(overlap - np.eye(n)) <= 1e-10)
     spectral = SpectralModel(
         n=n,
-        resolvent_gram=lambda z: e_alpha(alpha, z) * m_mat,
+        m_hat=lambda z: radial_m_hat(alpha, z) * m_mat,
         overlap=overlap,
         psi_in_Hminus1=(False,) * n,
-        resolvent_gram_grid=lambda z: radial_resolvent_grid(alpha, z)[..., None, None] * m_mat,
+        m_hat_grid=lambda z: radial_m_hat_grid(alpha, z)[..., None, None] * m_mat,
     )
     return ModelSpec(
         KIND_SCALING,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .symmetry import DEFAULT_TOL, SymmetryFamily
+from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
 from .triplet import (AdmissibleMatrix, CouplingMatrix, as_matrix,
                       frozen_matrix, hermitian_within, refuse_stacked_poles,
                       within, within_grid)
@@ -146,8 +146,10 @@ def is_nonnegative_realization(spec: RealizationSpec,
     Preconditions (not checkable here): R is the unique homogeneous
     solution for orthonormal channels independent of the form-domain
     scale, and R is invertible.  B must be Hermitian.  This is
-    ``nonnegative_grid``'s kernel at one B, with its report.
+    ``nonnegative_grid``'s kernel at one B, with its report.  A ``tol``
+    that is not finite and above 0 raises ``ValueError``.
     """
+    check_tol(tol)
     reason, det, x_min, gap_min = _nonnegativity_grid(spec.B.matrix,
                                                       spec.R.matrix, tol)
     reason = int(reason)
@@ -166,8 +168,10 @@ def nonnegative_grid(couplings, reg, tol: float = DEFAULT_TOL) -> np.ndarray:
     result is a boolean array of shape ``np.shape(couplings)[:-2]``.  The
     same preconditions hold, and it raises what the one-B call raises
     (``ValueError`` for a B that is not Hermitian or not finite, or an R
-    that is not invertible), if it would for any B of the stack.
+    that is not invertible), if it would for any B of the stack, and
+    ``ValueError`` for a ``tol`` that is not finite and above 0.
     """
+    check_tol(tol)
     r = reg if isinstance(reg, AdmissibleMatrix) else AdmissibleMatrix(reg)
     b = np.asarray(couplings, dtype=complex)
     if b.ndim < 2 or b.shape[-2:] != (r.n, r.n):

@@ -104,13 +104,6 @@ class SymmetryFamily:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SymmetryFamily":
-        samples = [float(t) for t in obj["samples"]]
-        conv = lambda d: {float(k): float(v) for k, v in d.items()}
-        return cls(samples, conv(obj["conjugate"]), conv(obj["p"]),
-                   [conv(d) for d in obj["xi"]])
-
 
 @dataclass(frozen=True)
 class Violation:

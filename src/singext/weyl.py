@@ -1,17 +1,14 @@
 """Weyl functions, the homogeneity identity, and Krein-formula spectra.
 
-Spectral data of a model enters through the resolvent Gram matrix
-E(z)[i, j] = ((A0 - z)^-1 h_j, h_i) and the overlap (h_j, h_i) in the
-defect basis.  The Weyl function of the plain defect-coordinate triplet
-is the rational expression
-
-    Mhat(z) = (z + 1) (overlap + (z + 1) E(z)),
-
-and the Weyl function of the regularized triplet attached to R follows
-by the linear fractional transform M(z) = -(R + Mhat(z))^-1.  ``weyl_m``
-evaluates through this overlap-aware form, which the p-adic closed form
-confirms to near machine precision; ``weyl_m_grid`` evaluates it at every
-point of an array of z from the backend's array form of E(z).
+Spectral data of a model enters through Mhat(z), the Weyl function of
+the plain defect-coordinate triplet in the defect basis h_1..h_n.  The
+Weyl function of the regularized triplet attached to R follows by the
+linear fractional transform M(z) = -(R + Mhat(z))^-1: ``weyl_m`` forms
+R + Mhat(z) at one z, ``weyl_m_grid`` at every point of an array of z.
+Each backend gives Mhat in closed form or as its own series
+(``models``); the resolvent Gram matrix E(z) and the overlap, which
+give Mhat(z) = (z + 1) (overlap + (z + 1) E(z)), stay with the models
+as the independent check.
 
 For a homogeneous regularization the Weyl function obeys
 
@@ -45,8 +42,12 @@ class SpectralModel:
     ----------
     n : int
         Channel count.
-    resolvent_gram : callable z -> (n, n) complex array
-        E(z)[i, j] = ((A0 - z)^-1 h_j, h_i); must satisfy E(z)* = E(conj z).
+    m_hat : callable z -> (n, n) complex array
+        Mhat(z), the Weyl function of the plain defect-coordinate triplet,
+        at one finite complex z (a scalar is taken as 1x1 for n = 1); must
+        satisfy Mhat(z)* = Mhat(conj z).  It equals
+        (z + 1) (overlap + (z + 1) E(z)) with E(z)[i, j] =
+        ((A0 - z)^-1 h_j, h_i), and vanishes at z = -1.
     overlap : (n, n) array
         (h_j, h_i); Hermitian positive definite, identity for
         orthonormal channels.
@@ -56,19 +57,18 @@ class SpectralModel:
     closed_form_M : callable z -> (n, n) array, optional
         Independent closed form of the Weyl function, used for
         cross-checks when present.
-    resolvent_gram_grid : callable z -> z.shape + (n, n) array, optional
-        The array form of ``resolvent_gram``: E at every point of a finite
+    m_hat_grid : callable z -> z.shape + (n, n) array, optional
+        The array form of ``m_hat``: Mhat at every point of a finite
         complex array z, with the same branch rules and errors, for
-        ``weyl_m_grid``.  Without it ``weyl_m_grid`` loops over
-        ``resolvent_gram``.
+        ``weyl_m_grid``.  Without it ``weyl_m_grid`` loops over ``m_hat``.
     """
 
     n: int
-    resolvent_gram: Callable[[complex], np.ndarray]
+    m_hat: Callable[[complex], np.ndarray]
     overlap: np.ndarray
     psi_in_Hminus1: tuple[bool, ...]
     closed_form_M: Callable[[complex], np.ndarray] | None = None
-    resolvent_gram_grid: Callable[[np.ndarray], np.ndarray] | None = None
+    m_hat_grid: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         overlap = frozen_matrix(self.overlap)
@@ -122,26 +122,17 @@ def _invert_or_pole(mat: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(mat)
 
 
-def _m_hat_raw(model: SpectralModel, z: complex) -> np.ndarray:
-    e = model.resolvent_gram(z)
-    if getattr(e, "shape", None) != (model.n, model.n):
-        e = np.atleast_2d(np.asarray(e, dtype=complex))  # a scalar for n = 1
-        if e.shape != (model.n, model.n):  # its finiteness: that of R + Mhat(z)
-            raise ValueError("resolvent Gram has the wrong dimension")
-    w = z + 1.0
-    return w * (model.overlap + w * e)
-
-
 def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     """Weyl matrix M(z) = -(R + Mhat(z))^-1 of the regularized triplet.
 
     A singular R + Mhat(z) raises ``PoleError``: the requested point is
     an eigenvalue of the regularizing extension.  A real z > 0 lies on
-    the continuous spectrum; the closed-form backends (scaling and point
-    interactions) return the boundary value M(z + i0) from the upper
-    half-plane there.  A z or R + Mhat(z) that is not finite and an E(z)
-    of the wrong shape raise ``ValueError``.  When the model carries a
-    closed form, the evaluation reports its discrepancy on access.
+    the continuous spectrum; the closed-form backends (one-dim, scaling
+    and point interactions) return the boundary value M(z + i0) from the
+    upper half-plane there.  A z or R + Mhat(z) that is not finite and a
+    Mhat(z) of the wrong shape raise ``ValueError``.  When the model
+    carries a closed form, the evaluation reports its discrepancy on
+    access.
     """
     r = np.asarray(getattr(reg, "matrix", reg), dtype=complex)
     if r.shape != (model.n, model.n):
@@ -151,8 +142,13 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
-    a = r + _m_hat_raw(model, z)
-    if not np.isfinite(a).all():  # R's finiteness too
+    m_hat = model.m_hat(z)
+    if getattr(m_hat, "shape", None) != (model.n, model.n):
+        m_hat = np.atleast_2d(np.asarray(m_hat, dtype=complex))  # a scalar for n = 1
+        if m_hat.shape != (model.n, model.n):
+            raise ValueError("Mhat(z) has the wrong dimension")
+    a = r + m_hat
+    if not np.isfinite(a).all():  # R's finiteness and Mhat's too
         raise ValueError("matrix entries must be finite")
     m = _invert_or_pole(a, "R + Mhat(z)")
     np.negative(m, out=m)
@@ -164,11 +160,11 @@ def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
     """M(z) = -(R + Mhat(z))^-1 at every point of an array of z.
 
     Returns an array of shape ``np.shape(z) + (n, n)`` that agrees with
-    ``weyl_m`` point by point (to rounding; the array form of E(z) sums in
-    another order).  It raises what ``weyl_m`` raises, if it would at any
-    of the points: ``PoleError`` for a singular R + Mhat(z), ``ValueError``
-    for a z, E(z) or R + Mhat(z) that is not finite or an E(z) of the
-    wrong shape, and the backend's own errors.
+    ``weyl_m`` point by point (to rounding; the array form of Mhat(z) may
+    round in another order).  It raises what ``weyl_m`` raises, if it would
+    at any of the points: ``PoleError`` for a singular R + Mhat(z),
+    ``ValueError`` for a z or R + Mhat(z) that is not finite or a Mhat(z)
+    of the wrong shape, and the backend's own errors.
     """
     r = as_matrix(reg)
     n = model.n
@@ -177,17 +173,15 @@ def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
-    if model.resolvent_gram_grid is not None:
-        e = model.resolvent_gram_grid(z)
+    if model.m_hat_grid is not None:
+        m_hat = model.m_hat_grid(z)
     else:
-        rows = [np.atleast_2d(model.resolvent_gram(x)) for x in z.ravel().tolist()]
-        e = np.array(rows, dtype=complex).reshape(z.shape + (rows[0].shape if rows else (n, n)))
-    if e.shape != z.shape + (n, n):
-        raise ValueError("resolvent Gram has the wrong dimension")
-    if not np.isfinite(e).all():
-        raise ValueError("matrix entries must be finite")
-    w = (z + 1.0)[..., None, None]
-    a = r + w * (model.overlap + w * e)
+        rows = [np.atleast_2d(model.m_hat(x)) for x in z.ravel().tolist()]
+        m_hat = np.array(rows, dtype=complex).reshape(
+            z.shape + (rows[0].shape if rows else (n, n)))
+    if m_hat.shape != z.shape + (n, n):
+        raise ValueError("Mhat(z) has the wrong dimension")
+    a = r + m_hat
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     refuse_stacked_poles(a, "R + Mhat(z)")

@@ -278,14 +278,6 @@ def test_matrix_io_round_trip():
     assert decode_complex("3.5") == 3.5 + 0.0j
 
 
-def test_vector_io_round_trip():
-    from singext.jsonio import decode_vector, encode_vector
-    vec = np.array([1.0 - 0.5j, 2.0, -0.25j])
-    np.testing.assert_array_equal(decode_vector(encode_vector(vec)), vec)
-    np.testing.assert_array_equal(decode_vector([1.0, 2.0]),
-                                  np.array([1.0 + 0.0j, 2.0 + 0.0j]))
-
-
 def test_model_info_accepts_inline_json(capsys):
     code, payload = invoke_json(capsys, "model", "info", "--model",
                                 POINT_D1_SPEC)
@@ -345,6 +337,18 @@ def test_meaningless_tol_or_grid_size_exits_2(capsys, argv):
     code, out = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("bad", [["--range=nan,5", "--count", "5"],
+                                 ["--range=0,inf", "--count", "5"],
+                                 ["--range=-1,1", "--count", "-1"]], ids=" ".join)
+def test_sweep_refusal_prints_only_the_envelope(capsys, bad):
+    # the CSV header used to precede the error envelope on stdout
+    code, out = invoke(capsys, "sweep", "--kind", "ScalingInvariant3D",
+                       "--alpha", "1.5", *bad)
+    assert code == 2
+    payload = json.loads(out)
+    assert set(payload) == {"command", "error"} and payload["command"] == "sweep"
 
 
 def test_model_info_without_model_exits_2(capsys):

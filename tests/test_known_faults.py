@@ -34,8 +34,6 @@ def test_weyl_m_next_to_spectrum_is_right_or_refused(scaling, scaling_r, z):
     assert abs(got - exact) <= 1e-6 * max(1.0, abs(exact)), got
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: Mhat(z) = (z+1)(overlap + (z+1)E(z)) "
-                   "cancels at large |z|, so point d = 1 loses relative accuracy there")
 @pytest.mark.parametrize("z", [1e4j, -1e6 + 0j])
 def test_point_d1_weyl_m_keeps_its_accuracy_at_large_z(point_models, z):
     model = point_models[1]
@@ -47,9 +45,6 @@ def test_point_d1_weyl_m_keeps_its_accuracy_at_large_z(point_models, z):
 
 # The rest of ROADMAP item 2's large-|z| table, at the same 1e-12 relative.
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the cancellation in "
-                   "overlap + (z+1)E(z) also costs the one-dim delta channel its "
-                   "relative accuracy at large |z|")
 @pytest.mark.parametrize("z", [1e4j, -1e6 + 0j])
 def test_one_dim_delta_channel_keeps_its_accuracy_at_large_z(one_dim, z):
     r = sx.solve_homogeneous_R(one_dim.family, one_dim.gram).matrix

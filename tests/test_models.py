@@ -78,7 +78,7 @@ def test_one_dim_parity_gram_quadrature():
 
 def test_one_dim_resolvent_closed_form_vs_quadrature(one_dim):
     for z in (-2.0, 0.7 + 0.9j, -0.5 + 0.3j):
-        closed = one_dim.spectral.resolvent_gram(z)
+        closed = models._one_dim_resolvent(z)
         quad11 = (1.0 / np.pi) * integrate_half_line_complex(
             lambda y: 1.0 / ((1 + y * y) ** 2 * (y * y - z)))
         quad22 = (1.0 / np.pi) * integrate_half_line_complex(
@@ -159,7 +159,7 @@ def test_point_resolvent_closed_forms(point_models):
             3: 1 / (8 * np.pi * (1 + u) ** 2),
         }
         for d in (1, 2, 3):
-            got = point_models[d].spectral.resolvent_gram(z)[0, 0]
+            got = models.point_interaction_resolvent(d, z)
             assert got == pytest.approx(expected[d], rel=1e-10)
 
 
@@ -320,7 +320,7 @@ def test_scaling_parameter_guards():
 
 def test_scaling_resolvent_at_minus_one_matches_overlap_scale(scaling):
     # E(-1)[0,0] = int r^2/(1+r^2)^3 / d_alpha = (pi/16)/(pi/4) = 1/4
-    got = scaling.spectral.resolvent_gram(-1.0)[0, 0]
+    got = models.e_alpha(1.5, -1.0) / models.scaling_constants(1.5)[1]
     assert got == pytest.approx(0.25, rel=1e-10)
 
 

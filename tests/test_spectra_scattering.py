@@ -332,3 +332,13 @@ def test_smatrix_grid_pole_at_one_point():
 def test_ladder_refuses_a_ratio_that_is_not_finite(ratio):
     with pytest.raises(ValueError, match="finite"):
         sx.spectrum_ladder(-1.0, ratio, (-2, 2))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_nonnegativity_refuses_a_meaningless_tol(tol):
+    # NaN and -1 were reported as a B that is not Hermitian, inf as an R
+    # that is not invertible
+    with pytest.raises(ValueError, match="finite tol above 0"):
+        sx.is_nonnegative_realization(realization(-1.0), tol)
+    with pytest.raises(ValueError, match="finite tol above 0"):
+        sx.nonnegative_grid([[[-1.0]]], [[-2.0]], tol)

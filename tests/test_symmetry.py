@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -115,16 +113,6 @@ def test_reciprocal_identities_hold_exactly(one_dim):
         assert fam.p[t] * fam.p[g] == pytest.approx(1.0, abs=1e-14)
         for m in fam.xi:
             assert m[t] * m[g] == pytest.approx(1.0, abs=1e-14)
-
-
-def test_family_json_round_trip(one_dim):
-    fam = one_dim.family
-    blob = json.dumps(fam.to_json_dict())
-    back = SymmetryFamily.from_json_dict(json.loads(blob))
-    assert back.sample_points == fam.sample_points
-    assert all(back.p[t] == fam.p[t] for t in fam.sample_points)
-    assert all(back.xi[j][t] == fam.xi[j][t]
-               for j in range(fam.n) for t in fam.sample_points)
 
 
 # power-law classification -------------------------------------------------

@@ -3,45 +3,51 @@ import pytest
 
 import singext as sx
 from singext.errors import DimensionMismatchError, PoleError
-from singext.weyl import SpectralModel, _m_hat_raw, hermitian_imag_min_eig
+from singext.weyl import SpectralModel, hermitian_imag_min_eig
 
 LAMBDA0 = 2.0
 
 
+def point_mass_e(z):
+    """E(z) of a single unit point mass at LAMBDA0."""
+    return 1.0 / (LAMBDA0 - z)
+
+
 @pytest.fixture(scope="module")
 def point_mass():
-    """Synthetic rank-one model: a single point mass at LAMBDA0, unit norm."""
+    """Synthetic rank-one model: a single point mass at LAMBDA0, unit norm,
+    with Mhat(z) = (z+1)(lambda0+1)/(lambda0 - z) in closed form."""
     return SpectralModel(
         n=1,
-        resolvent_gram=lambda z: np.array([[1.0 / (LAMBDA0 - z)]]),
+        m_hat=lambda z: np.array([[(z + 1) * (LAMBDA0 + 1) / (LAMBDA0 - z)]]),
         overlap=np.eye(1),
         psi_in_Hminus1=(True,),
     )
 
 
-# Mhat(z) = (z+1)(overlap + (z+1)E(z)) is no longer public; weyl_m builds
-# M(z) = -(R + Mhat(z))^-1 from it, so its values are pinned here directly.
 def test_m_hat_point_mass_formula(point_mass):
-    # expanding by hand: (z+1)(1 + (z+1)/(lambda0 - z))
+    # expanding (z+1)(overlap + (z+1)E(z)) by hand: (z+1)(1 + (z+1)/(lambda0 - z))
     for z in (0.3 + 0.7j, -2.5, 1.0 - 0.4j):
-        expected = (z + 1) * (1 + (z + 1) / (LAMBDA0 - z))
-        got = _m_hat_raw(point_mass, z)[0, 0]
+        expected = (z + 1) * (1 + (z + 1) * point_mass_e(z))
+        got = point_mass.m_hat(z)[0, 0]
         assert got == pytest.approx(expected, rel=1e-14)
 
 
-def test_m_hat_vanishes_at_minus_one(point_mass, scaling):
-    assert _m_hat_raw(point_mass, -1.0)[0, 0] == 0.0
-    np.testing.assert_allclose(_m_hat_raw(scaling.spectral, -1.0),
-                               np.zeros((1, 1)), atol=1e-14)
+def test_m_hat_vanishes_at_minus_one(point_mass, scaling, one_dim, point_models, padic):
+    assert point_mass.m_hat(-1.0)[0, 0] == 0.0
+    for spec in (scaling, one_dim, point_models[1], point_models[2], point_models[3], padic):
+        assert np.array_equal(spec.spectral.m_hat(-1.0), np.zeros((spec.n, spec.n)))
 
 
-def test_m_hat_conjugate_symmetry(point_mass):
+def test_m_hat_conjugate_symmetry(point_mass, scaling, one_dim, point_models, padic):
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
-        up = _m_hat_raw(point_mass, z)
-        down = _m_hat_raw(point_mass, np.conj(z))
-        np.testing.assert_allclose(down, up.conj().T, atol=1e-13)
+    for spectral in (point_mass, scaling.spectral, one_dim.spectral,
+                     point_models[2].spectral, padic.spectral):
+        for _ in range(10):
+            z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
+            up = spectral.m_hat(z)
+            down = spectral.m_hat(np.conj(z))
+            np.testing.assert_allclose(down, up.conj().T, atol=1e-13)
 
 
 def test_weyl_m_matches_padic_series(padic, padic_r):

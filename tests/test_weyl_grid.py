@@ -1,9 +1,9 @@
 """``weyl_m_grid``: M(z) over an array of z, against scalar ``weyl_m``.
 
-The array forms of E(z) sum and multiply in another order than the
-scalar kernels (numpy's vector loops, a stacked inverse), so the grid
-agrees with ``weyl_m`` to rounding, not bit for bit; the p-adic series
-sums each point over the scalar window and agrees exactly.  The
+The array forms of Mhat(z) round in another order than the scalar
+kernels (numpy's vector loops, a stacked inverse), so the grid agrees
+with ``weyl_m`` to rounding, not bit for bit; the p-adic series sums
+each point over the scalar window and agrees exactly.  The
 eigenvalue search scans with the grid and bisects with scalar
 ``weyl_m``, so its roots equal those of the scalar scan.
 """
@@ -18,7 +18,7 @@ from singext import models, weyl
 from singext.errors import ConvergenceError, PoleError
 from singext.models import TAYLOR_RADIUS
 from singext.symmetry import DEFAULT_TOL
-from singext.weyl import SpectralModel, _m_hat_raw
+from singext.weyl import SpectralModel
 
 SEEDED_GRAM = np.array([[1.2, 0.3, -0.1], [0.3, 0.9, 0.2], [-0.1, 0.2, 0.7]])
 
@@ -73,20 +73,21 @@ def test_grid_agrees_with_scalar_weyl_m(model_and_r, where):
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 1.01, 1.3, 1.5, 1.99])
 def test_radial_grid_matches_the_scalar_kernel(nu):
-    # E itself, where M(z) hardly depends on it: near z = -1 Mhat(z) is
-    # (z+1) overlap to first order.
-    z = np.array([p for points in Z_POINTS.values() for p in points]
-                 + [-1.0, -1.0 + 1e-6, -1.0 + 1e-4j, -1.0 - 1e-3j] + ([0.0] if nu > 1.0 else []),
-                 dtype=complex)
-    got = models.radial_resolvent_grid(nu, z)
-    want = np.array([models.radial_resolvent_closed(nu, zk) for zk in z])
-    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    # Mhat itself, next to z = -1 too, where it vanishes; the real and the
+    # complex route of the array kernel both.
+    points = [p for points in Z_POINTS.values() for p in points] + [
+        -1.0, -1.0 + 1e-6, -1.0 + 1e-4j, -1.0 - 1e-3j] + ([0.0] if nu > 1.0 else [])
+    negative = [p for p in points if complex(p).imag == 0.0 and complex(p).real <= 0.0]
+    for z in (np.array(points, dtype=complex), np.array(negative, dtype=complex)):
+        got = models.radial_m_hat_grid(nu, z)
+        want = np.array([models.radial_m_hat(nu, zk) for zk in z])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0])
 def test_radial_grid_diverges_at_zero_below_nu_one(nu):
     with pytest.raises(PoleError):
-        models.radial_resolvent_grid(nu, np.array([-1.0, 0.0]))
+        models.radial_m_hat_grid(nu, np.array([-1.0, 0.0]))
 
 
 def test_padic_grid_sums_the_scalar_window_exactly():
@@ -114,7 +115,7 @@ def test_grid_accepts_a_python_scalar_and_a_list():
 
 def test_grid_pole_raises():
     spec, _ = _model_and_r("scaling_n2")
-    r = -_m_hat_raw(spec.spectral, -2.0).real  # R + Mhat(-2) = 0
+    r = -spec.spectral.m_hat(-2.0).real  # R + Mhat(-2) = 0
     with pytest.raises(PoleError):
         sx.weyl_m(spec.spectral, r, -2.0)
     with pytest.raises(PoleError):
@@ -135,7 +136,7 @@ def test_grid_padic_z_zero_does_not_converge(alpha):
 def test_grid_refuses_z_that_is_not_finite_before_the_backend(bad):
     calls = []
     model = SpectralModel(1, lambda w: calls.append(w) or np.eye(1), np.eye(1), (True,),
-                          resolvent_gram_grid=lambda w: calls.append(w) or np.ones(w.shape + (1, 1)))
+                          m_hat_grid=lambda w: calls.append(w) or np.ones(w.shape + (1, 1)))
     with pytest.raises(ValueError, match="z must be finite"):
         sx.weyl_m_grid(model, [[0.0]], [-1.0, bad])
     assert calls == []
@@ -157,6 +158,7 @@ def test_grid_loops_over_a_scalar_only_backend():
 
 
 def test_grid_refuses_a_resolvent_gram_of_the_wrong_shape():
+    # the backend's Mhat(z), 3x3 on a two-channel model
     with pytest.raises(ValueError, match="wrong dimension"):
         sx.weyl_m_grid(_scalar_only(lambda z: np.eye(3)), np.zeros((2, 2)), [-1.0, -2.0])
 
