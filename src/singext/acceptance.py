@@ -19,7 +19,7 @@ from .admissibility import (NoSolution, UniqueSolution, classify_rank_one,
 from .spectra_scattering import (RealizationSpec, is_homogeneous_realization,
                                  nonnegative_grid, s_matrix, s_matrix_grid,
                                  spectrum_ladder)
-from .triplet import AdmissibleMatrix, CouplingMatrix
+from .triplet import AdmissibleMatrix, CouplingMatrix, stacked_singular_values
 from .weyl import check_weyl_homogeneity, weyl_m
 
 
@@ -219,8 +219,7 @@ def criterion_7() -> CriterionResult:
         if not (b <= 0.0 and abs(b) > 1e-3):
             continue
         s = s_matrix_grid(np.array([[b]]), grid)
-        worst_sv = max(worst_sv,
-                       float(np.linalg.svd(s, compute_uv=False)[..., 0].max()))
+        worst_sv = max(worst_sv, float(stacked_singular_values(s)[..., 0].max()))
     ok = worst_unitary <= 1e-12 and identity_exact and worst_sv <= 1.0 + 1e-10
     return CriterionResult(
         7, "S-matrix unitarity, S(0) = I, upper half-plane contractivity", ok,

@@ -165,7 +165,8 @@ def one_dim_gram_quadrature(i: int, j: int, t: float) -> float:
 
 
 def _one_dim_resolvent(z: complex) -> np.ndarray:
-    u = np.sqrt(-complex(z))
+    # + 0j as in ``_one_dim_m_hat``: real z > 0 on the upper rim of the cut
+    u = np.sqrt(-(complex(z) + 0j))
     e11 = (u + 2.0) / (4.0 * u * (1.0 + u) ** 2)
     e22 = 1.0 / (4.0 * (1.0 + u) ** 2)
     return np.diag([e11, e22])

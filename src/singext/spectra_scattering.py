@@ -26,6 +26,7 @@ formal.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,13 +244,18 @@ def s_matrix_grid(coupling, z) -> np.ndarray:
     """S(z) = (I - 2iz B)(I + 2iz B)^-1 at every point of an array of z.
 
     Returns an array of shape ``np.shape(z) + (n, n)``; raises
-    ``PoleError`` when I + 2iz B is singular at any of the points.
+    ``PoleError`` when I + 2iz B is singular at any of the points and
+    ``ValueError`` when any z is not finite.
     """
-    return _cayley_grid(as_matrix(coupling), z)
+    b = as_matrix(coupling)
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
+    return _cayley_grid(b, z)
 
 
 def _cayley_grid(b: np.ndarray, z) -> np.ndarray:
-    """``s_matrix_grid`` for a checked coupling matrix."""
+    """``s_matrix_grid`` for a checked coupling matrix and finite z."""
     wb = (2j * np.asarray(z, dtype=complex))[..., None, None] * b
     eye = np.eye(b.shape[0])
     denom = eye + wb
@@ -261,9 +267,15 @@ def _cayley_grid(b: np.ndarray, z) -> np.ndarray:
 
 
 def s_matrix(coupling, z: complex, tol: float = 1e-12) -> SMatrix:
-    """Evaluate S(z) = (I - 2iz B)(I + 2iz B)^-1 with status diagnostics."""
-    z = complex(z)
+    """Evaluate S(z) = (I - 2iz B)(I + 2iz B)^-1 with status diagnostics.
+
+    Raises ``PoleError`` when I + 2iz B is singular and ``ValueError``
+    when z is not finite.
+    """
     b = as_matrix(coupling)
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     s = _cayley_grid(b, z)
     # Reductions of the one 2-D matrix: a stacked norm(..., axis=(-2, -1))
     # rounds differently in the last bit of the printed defect.

@@ -65,15 +65,24 @@ def within_grid(x: np.ndarray, tol: float, scale: np.ndarray) -> np.ndarray:
     return x <= tol * np.maximum(1.0, scale)
 
 
+def stacked_singular_values(mats: np.ndarray) -> np.ndarray:
+    """Singular values (..., n), largest first, of a stack (..., n, n).
+
+    The one singular value of a 1x1 matrix is the modulus of its entry,
+    taken without a per-matrix SVD.
+    """
+    if mats.shape[-1] == 1:
+        return abs(mats[..., 0])
+    return np.linalg.svd(mats, compute_uv=False)
+
+
 def refuse_stacked_poles(mats: np.ndarray, what: str) -> None:
     """``PoleError`` if any matrix of a checked stack (..., n, n) is singular.
 
     The ``within`` rule at ``POLE_RTOL``, point by point: the smallest
-    singular value against the largest.  The one singular value of a 1x1
-    matrix is the modulus of its entry.
+    singular value against the largest.
     """
-    svals = np.abs(mats[..., 0, :]) if mats.shape[-1] == 1 else np.linalg.svd(
-        mats, compute_uv=False)
+    svals = stacked_singular_values(mats)
     if within_grid(svals[..., -1], POLE_RTOL, svals[..., 0]).any():
         raise PoleError(f"{what} is singular at the requested point")
 

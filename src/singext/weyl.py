@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DimensionMismatchError, PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
 from .triplet import (POLE_RTOL, as_matrix, frozen_matrix, hermitian_within,
-                      refuse_stacked_poles, within)
+                      refuse_stacked_poles, stacked_singular_values, within)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +115,7 @@ class WeylEvaluation:
 
 
 def _invert_or_pole(mat: np.ndarray, what: str) -> np.ndarray:
-    # the one singular value of a 1x1 matrix is the modulus of its entry
-    svals = abs(mat[0]) if mat.shape == (1, 1) else np.linalg.svd(mat, compute_uv=False)
+    svals = stacked_singular_values(mat)
     if within(svals[-1], POLE_RTOL, float(svals[0])):
         raise PoleError(f"{what} is singular at the requested point")
     return np.linalg.inv(mat)
@@ -161,10 +160,14 @@ def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
 
     Returns an array of shape ``np.shape(z) + (n, n)`` that agrees with
     ``weyl_m`` point by point (to rounding; the array form of Mhat(z) may
-    round in another order).  It raises what ``weyl_m`` raises, if it would
-    at any of the points: ``PoleError`` for a singular R + Mhat(z),
-    ``ValueError`` for a z or R + Mhat(z) that is not finite or a Mhat(z)
-    of the wrong shape, and the backend's own errors.
+    round in another order).  For n = 1 the inverse is the reciprocal of
+    the one entry, with no per-matrix LAPACK call: where R + Mhat(z) is
+    real with +0.0 imaginary parts, as on the negative axis, it equals
+    ``np.linalg.inv`` bit for bit; at nonreal z the two agree to a few ulp.
+    It raises what ``weyl_m`` raises, if it would at any of the points:
+    ``PoleError`` for a singular R + Mhat(z), ``ValueError`` for a z or
+    R + Mhat(z) that is not finite or a Mhat(z) of the wrong shape, and
+    the backend's own errors.
     """
     r = as_matrix(reg)
     n = model.n
@@ -185,6 +188,10 @@ def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     refuse_stacked_poles(a, "R + Mhat(z)")
+    if n == 1:
+        # negated after the division: -1.0 / a flips the sign of a zero
+        # imaginary part against LAPACK's inverse
+        return -(1.0 / a)
     return -np.linalg.inv(a)
 
 

@@ -62,6 +62,20 @@ def test_entry_point_rejects_bad_matrix(entry, bad, padic, padic_r):
         ENTRY_POINTS[entry](matrix, padic, padic_r)
 
 
+# A z that is not finite is refused where it enters, as by weyl_m; the
+# S-matrix returned NaN from the grid, numpy's "SVD did not converge"
+# from s_matrix, and a RuntimeWarning at an infinite z.
+@pytest.mark.parametrize("bad", [complex(float("nan"), 0.0), float("nan"),
+                                 complex(0.5, float("inf")), float("-inf")])
+def test_smatrix_refuses_z_that_is_not_finite(bad):
+    with pytest.raises(ValueError, match="z must be finite"):
+        sx.s_matrix([[0.5]], bad)
+    with pytest.raises(ValueError, match="z must be finite"):
+        sx.s_matrix_grid([[0.5]], [bad, 1.0])
+    with pytest.raises(ValueError, match="z must be finite"):
+        sx.s_matrix_grid(np.eye(2), np.array([[0.5j, 1.0], [2.0, bad]]))
+
+
 def test_scipy_integrate_loads_at_the_first_quadrature():
     # every model builds from closed forms and arrays; only the oracles
     # (here criterion 2's c_alpha) integrate

@@ -134,10 +134,14 @@ def test_m_hat_at_zero_is_a_pole_at_or_below_nu_one(name):
 
 @pytest.mark.parametrize("name", CLOSED)
 def test_real_positive_z_is_the_upper_boundary_value(name):
-    spectral, _ = backend(name)
+    spectral, e = backend(name)
     for x in (0.5, 2.0, 30.0):
         on_axis = spectral.m_hat(x)
         assert np.array_equal(spectral.m_hat(complex(x, -0.0)), on_axis)
+        # the E oracle takes the same rim for either zero sign
+        for z in (complex(x, 0.0), complex(x, -0.0)):
+            via_e = (z + 1.0) * (spectral.overlap + (z + 1.0) * e(z))
+            assert relative(via_e, on_axis) <= 1e-12, z
         assert np.array_equal(spectral.m_hat_grid(np.array([x]))[0], on_axis)
         above = spectral.m_hat(complex(x, 1e-9))
         assert relative(on_axis, above) <= 1e-8

@@ -7,7 +7,8 @@ from singext.spectra_scattering import (NONNEGATIVITY_REASONS, RealizationSpec,
                                         S_MATRIX_PROVENANCE_NOTE,
                                         NonnegativityReport, _nonnegativity_grid)
 from singext.symmetry import SymmetryFamily
-from singext.triplet import AdmissibleMatrix, CouplingMatrix, within
+from singext.triplet import (AdmissibleMatrix, CouplingMatrix, stacked_singular_values,
+                             within)
 
 
 def realization(b, r=-2.0, family=None):
@@ -326,6 +327,25 @@ def test_smatrix_grid_pole_at_one_point():
     z = np.array([[1.0 + 1.0j, 0.5j], [2.0, -1.0 + 0.5j]])
     with pytest.raises(PoleError, match="singular at the requested point"):
         sx.s_matrix_grid(np.array([[1.0]]), z)
+
+
+# every 20th coupling of criterion 7's contractivity sweep, and its last
+@pytest.mark.parametrize("b", np.linspace(-5.0, 5.0, 200)[[0, 20, 40, 60, 80, 99]])
+def test_modulus_is_the_one_singular_value_on_criterion_7_grid(b):
+    # criterion 7's 20 x 20 points of the upper half-plane
+    grid = np.linspace(-10.0, 10.0, 20)[:, None] + 1j * np.linspace(0.05, 10.0, 20)[None, :]
+    s = sx.s_matrix_grid(np.array([[b]]), grid)
+    got = stacked_singular_values(s)
+    want = np.linalg.svd(s, compute_uv=False)
+    assert got.shape == want.shape == (20, 20, 1)
+    np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_stacked_singular_values_of_larger_matrices_are_the_svd():
+    rng = np.random.default_rng(7)
+    mats = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    assert np.array_equal(stacked_singular_values(mats),
+                          np.linalg.svd(mats, compute_uv=False))
 
 
 @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -float("inf")])

@@ -122,6 +122,59 @@ def test_grid_pole_raises():
         sx.weyl_m_grid(spec.spectral, r, [-3.0, -2.0, 0.5j])
 
 
+# ---------------------------------------------------------------------------
+# One channel: the inverse is the reciprocal of the one entry
+# ---------------------------------------------------------------------------
+
+ONE_CHANNEL = ["point_d1", "point_d2", "point_d3", "scaling_n1", "padic_2_1.5",
+               "padic_3_0.75"]
+
+
+def _lapack_weyl_grid(spec, r, z):
+    """-(R + Mhat(z))^-1 by numpy's stacked LAPACK inverse."""
+    return -np.linalg.inv(r + spec.spectral.m_hat_grid(z))
+
+
+@pytest.mark.parametrize("name", ONE_CHANNEL)
+def test_one_channel_grid_is_the_lapack_inverse_bit_for_bit_on_the_negative_axis(name):
+    spec, r = _model_and_r(name)
+    x = np.linspace(-3.0, -0.3, 400)  # misses z = -1, where Mhat = 0
+    got = sx.weyl_m_grid(spec.spectral, r, x)
+    want = _lapack_weyl_grid(spec, r, x)
+    assert got.shape == want.shape == (400, 1, 1)
+    # the bits of both parts, the signs of zeros included
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ONE_CHANNEL)
+def test_one_channel_grid_is_the_lapack_inverse_to_rounding_at_complex_z(name):
+    spec, r = _model_and_r(name)
+    rng = np.random.default_rng(13)
+    z = rng.uniform(-4.0, 4.0, 200) + 1j * rng.uniform(-4.0, 4.0, 200)
+    got = sx.weyl_m_grid(spec.spectral, r, z)
+    want = _lapack_weyl_grid(spec, r, z)
+    np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_one_channel_grid_shape_follows_z(shape):
+    spec, r = _model_and_r("point_d3")
+    z = np.linspace(-2.0, 1.0, int(np.prod(shape))).reshape(shape) + 0.5j
+    grid = sx.weyl_m_grid(spec.spectral, r, z)
+    assert grid.shape == shape + (1, 1)
+    np.testing.assert_allclose(grid.reshape(-1), _lapack_weyl_grid(spec, r, z).reshape(-1),
+                               rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_one_channel_grid_pole_raises():
+    spec, _ = _model_and_r("point_d3")
+    r = -spec.spectral.m_hat(-2.0).real  # R + Mhat(-2) = 0
+    with pytest.raises(PoleError):
+        sx.weyl_m(spec.spectral, r, -2.0)
+    with pytest.raises(PoleError):
+        sx.weyl_m_grid(spec.spectral, r, [-3.0, -2.0, 0.5j])
+
+
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_grid_padic_z_zero_does_not_converge(alpha):
     spec = sx.build_padic_model(2, alpha)
