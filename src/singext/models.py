@@ -167,6 +167,8 @@ def one_dim_gram_quadrature(i: int, j: int, t: float) -> float:
 def _one_dim_resolvent(z: complex) -> np.ndarray:
     # + 0j as in ``_one_dim_m_hat``: real z > 0 on the upper rim of the cut
     u = np.sqrt(-(complex(z) + 0j))
+    if not u:
+        raise PoleError("E of the delta channel diverges at z = 0")
     e11 = (u + 2.0) / (4.0 * u * (1.0 + u) ** 2)
     e22 = 1.0 / (4.0 * (1.0 + u) ** 2)
     return np.diag([e11, e22])
@@ -553,13 +555,27 @@ def padic_resolvent_grid(p: int, alpha: float, z: np.ndarray) -> np.ndarray:
 
 def _padic_block(p: int, alpha: float, lam: np.ndarray, w: np.ndarray,
                  z: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``_padic_series`` (closed=False) of a 1-D array of z over the scales lo..hi."""
+    """``_padic_series`` (closed=False) of a 1-D array of z over the scales lo..hi.
+
+    A block of real z forms its terms in real arithmetic,
+    w * (1 / (lambda_N - x)), and sums them as complex.  numpy divides by
+    b + 0i as (w + 0 * 0) * (1 / b), so the real parts are the complex
+    quotient w / (lambda_N - z) bit for bit.  The imaginary parts are
+    zeros, -0.0 in the quotient where lambda_N < x; the first term has
+    lambda_N >= 2 |z| wherever the tail check passes, so each sum keeps
+    +0.0 and equals the complex route's sum bit for bit.  A real sum
+    would pair the terms differently.  A block with any nonreal z keeps
+    the complex quotient.
+    """
     on_axis = z.real[(z.imag == 0.0) & (z.real > 0.0)]
     hits = on_axis[np.isin(on_axis, lam)]
     if hits.size:
         raise PoleError(f"z = {float(hits[0])!r} is an eigenvalue lambda_N of A0")
     a, size = 3.0 * alpha - 1.0, np.abs(z)
-    terms = w / (lam - z[:, None])
+    if z.imag.any():
+        terms = w / (lam - z[:, None])
+    else:
+        terms = (w * (1.0 / (lam - z.real[:, None]))).astype(complex)
     total = (p - 1) * terms.sum(axis=1)
     tail = np.full(z.shape, math.inf)
     above = lam[-1] <= 0.5 * size

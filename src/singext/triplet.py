@@ -27,6 +27,7 @@ from .errors import DimensionMismatchError, PoleError
 
 HERMITICITY_RTOL = 1e-12
 POLE_RTOL = 1e-14
+POLE_CERT_MARGIN = 100.0  # of invert_or_refuse_poles, over POLE_RTOL
 
 
 def as_matrix(m) -> np.ndarray:
@@ -80,11 +81,52 @@ def refuse_stacked_poles(mats: np.ndarray, what: str) -> None:
     """``PoleError`` if any matrix of a checked stack (..., n, n) is singular.
 
     The ``within`` rule at ``POLE_RTOL``, point by point: the smallest
-    singular value against the largest.
+    singular value against the largest.  This is the pole rule of the
+    package; ``invert_or_refuse_poles`` takes the same decisions with an
+    SVD only for the matrices its certificate does not clear.
     """
     svals = stacked_singular_values(mats)
     if within_grid(svals[..., -1], POLE_RTOL, svals[..., 0]).any():
         raise PoleError(f"{what} is singular at the requested point")
+
+
+def _frobenius_sq(mats: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms (...) of a stack (..., n, n)."""
+    parts = np.ascontiguousarray(mats).view(float)  # real and imaginary parts
+    return np.einsum("...ij,...ij->...", parts, parts)
+
+
+def invert_or_refuse_poles(mats: np.ndarray, what: str) -> np.ndarray:
+    """``np.linalg.inv`` of a checked stack (..., n, n), under the pole rule.
+
+    Raises ``PoleError`` exactly where ``refuse_stacked_poles`` does, and
+    otherwise returns ``np.linalg.inv(mats)`` bit for bit, with an SVD
+    only for the matrices that the inverse itself does not certify.
+
+    The certificate: sigma_min(A) >= 1 / ||A^-1||_F and
+    sigma_max(A) <= ||A||_F.  A computed inverse is the exact inverse of
+    a matrix within about eps ||A|| of A, so a matrix with
+    1 / ||X||_F > ``POLE_CERT_MARGIN`` * ``POLE_RTOL`` * max(1, ||A||_F)
+    for its computed inverse X has sigma_min far above
+    ``POLE_RTOL`` * max(1, sigma_max), and the SVD rule, whose singular
+    values are also within about eps ||A|| of the true ones, would not
+    refuse it either.  A matrix the certificate does not clear (an
+    inverse that is near the threshold, overflows or is not finite) goes
+    to ``refuse_stacked_poles``.  An exactly singular matrix, on which
+    ``np.linalg.inv`` raises ``LinAlgError``, sends the whole stack to
+    the SVD rule, and is a ``PoleError`` even where that rule would pass.
+    """
+    try:
+        inv = np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        refuse_stacked_poles(mats, what)
+        raise PoleError(f"{what} is singular at the requested point") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (POLE_CERT_MARGIN * POLE_RTOL) ** 2 * _frobenius_sq(inv)
+        cleared = bound * np.maximum(1.0, _frobenius_sq(mats)) < 1.0
+    if not cleared.all():
+        refuse_stacked_poles(mats[~cleared], what)
+    return inv
 
 
 def _frozen_vector(v) -> np.ndarray:

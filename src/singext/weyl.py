@@ -31,7 +31,8 @@ import numpy as np
 from .errors import DimensionMismatchError, PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
 from .triplet import (POLE_RTOL, as_matrix, frozen_matrix, hermitian_within,
-                      refuse_stacked_poles, stacked_singular_values, within)
+                      invert_or_refuse_poles, refuse_stacked_poles,
+                      stacked_singular_values, within)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +165,10 @@ def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
     the one entry, with no per-matrix LAPACK call: where R + Mhat(z) is
     real with +0.0 imaginary parts, as on the negative axis, it equals
     ``np.linalg.inv`` bit for bit; at nonreal z the two agree to a few ulp.
+    For n > 1 it is ``np.linalg.inv`` of the stack, and the pole rule
+    takes an SVD only of the matrices the inverse does not certify
+    (``triplet.invert_or_refuse_poles``), with the decisions of the SVD
+    rule at every point.
     It raises what ``weyl_m`` raises, if it would at any of the points:
     ``PoleError`` for a singular R + Mhat(z), ``ValueError`` for a z or
     R + Mhat(z) that is not finite or a Mhat(z) of the wrong shape, and
@@ -187,12 +192,12 @@ def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
     a = r + m_hat
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    refuse_stacked_poles(a, "R + Mhat(z)")
     if n == 1:
+        refuse_stacked_poles(a, "R + Mhat(z)")
         # negated after the division: -1.0 / a flips the sign of a zero
         # imaginary part against LAPACK's inverse
         return -(1.0 / a)
-    return -np.linalg.inv(a)
+    return -invert_or_refuse_poles(a, "R + Mhat(z)")
 
 
 def check_weyl_homogeneity(weyl_fn: Callable[[complex], np.ndarray],

@@ -9,6 +9,7 @@ is the reference instead.
 """
 
 import functools
+import warnings
 
 import mpmath
 import numpy as np
@@ -130,6 +131,16 @@ def test_m_hat_at_zero_is_a_pole_at_or_below_nu_one(name):
         spectral.m_hat_grid(np.array([-1.0, 0.0]))
     with pytest.raises(PoleError):
         sx.weyl_m_grid(spectral, np.zeros((spectral.n, spectral.n)), [0.5j, 0.0])
+
+
+@pytest.mark.parametrize("name", ["point d=1", "point d=2", "one-dim"])
+@pytest.mark.parametrize("z", [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)])
+def test_e_oracle_at_zero_is_a_pole_without_warning(name, z):
+    _, e = backend(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError):
+            e(z)
 
 
 @pytest.mark.parametrize("name", CLOSED)

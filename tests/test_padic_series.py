@@ -166,3 +166,87 @@ def test_window_stays_in_the_normal_range(p, alpha):
         assert np.isfinite(a).all()
     assert lam.min() >= np.finfo(float).tiny
     assert p_minus_n.min() >= np.finfo(float).tiny
+
+
+# ---------------------------------------------------------------------------
+# The grid series on the real axis: real arithmetic, the complex quotient's bits
+# ---------------------------------------------------------------------------
+
+def _scalar_or_refusal(p, alpha, z):
+    """The oracle: the scalar series, which sums the complex quotients
+    w_N / (lambda_N - z), or the type of its refusal."""
+    try:
+        return models.padic_resolvent(p, alpha, z)
+    except (ConvergenceError, PoleError) as err:
+        return type(err)
+
+
+def _grid_or_refusal(p, alpha, z):
+    try:
+        return models.padic_resolvent_grid(p, alpha, np.array([z]))[0]
+    except (ConvergenceError, PoleError) as err:
+        return type(err)
+
+
+def _bits(value):
+    return np.array([value], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("p, alpha", MODELS)
+def test_real_axis_terms_are_the_complex_quotient_bit_for_bit(p, alpha):
+    lam, c2, _, _ = models._padic_scales(p, alpha)
+    for x in np.concatenate([-np.logspace(-12, 6, 200), np.logspace(-6, 4, 200)]):
+        if x in lam:
+            continue
+        real = (c2 * (1.0 / (lam - x))).astype(complex)
+        quotient = c2 / (lam - complex(x))
+        assert np.array_equal(real, quotient), x
+        # the quotient's zero imaginary parts are -0.0 exactly where lambda_N < x
+        assert np.array_equal(np.signbit(quotient.imag), lam < x), x
+        # a +0.0 term (lambda_N > x) keeps each sum's zero imaginary part +0.0
+        assert _bits(real.sum()) == _bits(quotient.sum()), x
+
+
+@pytest.mark.parametrize("p, alpha", MODELS)
+def test_real_axis_grid_is_the_complex_series_bit_for_bit(p, alpha):
+    lam = models._padic_scales(p, alpha)[0]
+    negative = -np.logspace(-14, 8, 1000)
+    positive = np.logspace(-6, 4, 1500)
+    positive = positive[np.abs(positive[:, None] / lam - 1.0).min(axis=1) > 1e-6]
+    z = np.concatenate([negative, positive]).astype(complex)
+    want = [_scalar_or_refusal(p, alpha, zk) for zk in z.tolist()]
+    for zk, w in zip(z.tolist(), want):
+        got = _grid_or_refusal(p, alpha, zk)
+        if isinstance(w, type):
+            assert got is w, zk
+        else:
+            assert _bits(got) == _bits(w), zk  # the sign of a zero imaginary part too
+    ok = np.array([not isinstance(w, type) for w in want])
+    assert ok[:len(negative)].all() and ok.sum() > 0.99 * len(z)
+    assert np.array_equal(models.padic_resolvent_grid(p, alpha, z[ok]),
+                          np.array([w for w in want if not isinstance(w, type)]))
+
+
+@pytest.mark.parametrize("p, alpha", MODELS)
+def test_real_axis_grid_refuses_where_the_scalar_series_does(p, alpha):
+    lam = models._padic_scales(p, alpha)[0]
+    pole = complex(lam[len(lam) // 2 + 2])
+    assert _scalar_or_refusal(p, alpha, pole) is PoleError
+    assert _grid_or_refusal(p, alpha, pole) is PoleError
+    with pytest.raises(PoleError, match=repr(pole.real)):
+        models.padic_resolvent_grid(p, alpha, np.array([-1.0, pole, 2.5]))
+    for zero in (0j, complex(0.0, -0.0), complex(-0.0, 0.0)):
+        want = _scalar_or_refusal(p, alpha, zero)
+        got = _grid_or_refusal(p, alpha, zero)
+        assert got is want if isinstance(want, type) else _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("p, alpha", MODELS)
+def test_a_block_mixing_real_and_nonreal_z_takes_the_complex_quotient(p, alpha):
+    # equal moduli, so one scale n_z and one block; the real z come first
+    z = 1.5 * np.exp(1j * np.array([np.pi, 0.0, 2.5, -2.5, 0.4]))
+    z[:2] = z[:2].real
+    got = models.padic_resolvent_grid(p, alpha, z)
+    want = np.array([models.padic_resolvent(p, alpha, zk) for zk in z.tolist()])
+    assert got.tobytes() == want.tobytes()
+    assert (got.imag[2:] != 0.0).all()

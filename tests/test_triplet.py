@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import singext as sx
-from singext.errors import DimensionMismatchError
+from singext import triplet
+from singext.errors import DimensionMismatchError, PoleError
 from singext.triplet import (AdmissibleMatrix, BoundaryCoordinates,
-                             CouplingMatrix, boundary_form)
+                             CouplingMatrix, boundary_form,
+                             invert_or_refuse_poles, refuse_stacked_poles)
 
 R_ONE_DIM = np.diag([0.5, -0.5])
 
@@ -136,3 +140,119 @@ def test_wrapped_arrays_are_read_only():
     coupling = CouplingMatrix([[1.0]])
     with pytest.raises(ValueError):
         coupling.matrix[0, 0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# The pole rule certified by the inverse
+# ---------------------------------------------------------------------------
+
+STACK_KINDS = [(n, cplx, herm) for n in (2, 3, 4) for cplx in (False, True)
+               for herm in (False, True)]
+
+
+def _seeded_stack(n, cplx, herm, count=200):
+    """Matrices with sigma_max from 1e-8 to 1e8 and sigma_min from 1e-17 to
+    1e-9 times max(1, sigma_max), around the pole threshold 1e-14."""
+    rng = np.random.default_rng([n, cplx, herm])
+
+    def unitary():
+        g = rng.standard_normal((count, n, n))
+        if cplx:
+            g = g + 1j * rng.standard_normal((count, n, n))
+        return np.linalg.qr(g)[0]
+
+    u = unitary()
+    v = u if herm else unitary()
+    top = 10.0 ** rng.uniform(-8.0, 8.0, count)
+    low = np.minimum(top, 10.0 ** rng.uniform(-17.0, -9.0, count) * np.maximum(1.0, top))
+    inner = np.exp(rng.uniform(np.log(low)[:, None], np.log(top)[:, None], (count, n - 2)))
+    s = np.concatenate([top[:, None], inner, low[:, None]], axis=1)
+    if herm:
+        s = s * rng.choice([-1.0, 1.0], s.shape)  # eigenvalues of either sign
+    return (u * s[:, None, :]) @ v.conj().swapaxes(-2, -1)
+
+
+def _refused(mats):
+    try:
+        refuse_stacked_poles(mats, "A")
+    except PoleError:
+        return True
+    return False
+
+
+@pytest.fixture
+def svd_rule_calls(monkeypatch):
+    calls = []
+    rule = triplet.refuse_stacked_poles
+    monkeypatch.setattr(triplet, "refuse_stacked_poles",
+                        lambda mats, what: calls.append(mats.shape[:-2]) or rule(mats, what))
+    return calls
+
+
+@pytest.mark.parametrize("n, cplx, herm", STACK_KINDS)
+def test_certified_pole_rule_decides_as_the_svd_rule(n, cplx, herm, svd_rule_calls):
+    stack = _seeded_stack(n, cplx, herm)
+    refused = np.array([_refused(stack[k:k + 1]) for k in range(len(stack))])
+    svd_rule_calls.clear()
+    for k, refuse in enumerate(refused.tolist()):
+        if refuse:
+            with pytest.raises(PoleError):
+                invert_or_refuse_poles(stack[k:k + 1], "A")
+        else:
+            got = invert_or_refuse_poles(stack[k:k + 1], "A")
+            assert got.tobytes() == np.linalg.inv(stack[k:k + 1]).tobytes()
+    certified = len(stack) - len(svd_rule_calls)
+    # every outcome occurs: refused, passed by the SVD rule, certified
+    assert 0 < refused.sum() < len(svd_rule_calls) < len(stack), (refused.sum(), certified)
+    with pytest.raises(PoleError):
+        invert_or_refuse_poles(stack, "A")
+    regular = stack[~refused]
+    assert invert_or_refuse_poles(regular, "A").tobytes() == np.linalg.inv(regular).tobytes()
+
+
+@pytest.mark.parametrize("n, cplx, herm", STACK_KINDS)
+def test_certificate_clears_well_separated_matrices_at_every_scale(n, cplx, herm,
+                                                                   svd_rule_calls):
+    # sigma_min > n POLE_CERT_MARGIN POLE_RTOL max(1, sigma_max) is always
+    # certified: ||A^-1||_F <= sqrt(n) / sigma_min, ||A||_F <= sqrt(n) sigma_max
+    stack = _seeded_stack(n, cplx, herm)
+    svals = np.linalg.svd(stack, compute_uv=False)
+    clear = svals[:, -1] > 1e-11 * np.maximum(1.0, svals[:, 0])
+    assert (svals[clear, 0] < 1.0).any() and (svals[clear, 0] > 1.0).any()
+    invert_or_refuse_poles(stack[clear], "A")
+    assert svd_rule_calls == []
+
+
+def test_exactly_singular_matrix_in_a_stack_is_a_pole_not_a_lapack_error():
+    stack = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]],
+                      [[1.0, 0.0], [0.0, 1.0]]], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(stack)
+    with pytest.raises(PoleError):
+        invert_or_refuse_poles(stack, "A")
+
+
+def test_exactly_singular_matrix_is_a_pole_even_where_the_svd_rule_passes(monkeypatch):
+    monkeypatch.setattr(triplet, "refuse_stacked_poles", lambda mats, what: None)
+    with pytest.raises(PoleError):
+        invert_or_refuse_poles(np.ones((1, 2, 2)), "A")
+
+
+def test_overflowing_inverse_goes_to_the_svd_rule_without_warning(svd_rule_calls):
+    stack = np.array([np.eye(2), np.diag([1.0, 1e-310]), 3.0 * np.eye(2)], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(np.linalg.inv(stack)).all()
+        with pytest.raises(PoleError):
+            invert_or_refuse_poles(stack, "A")
+    assert svd_rule_calls == [(1,)]
+
+
+def test_uncertifiable_norms_go_to_the_svd_rule_without_warning(svd_rule_calls):
+    # ||A||_F^2 overflows and ||A^-1||_F^2 underflows: no certificate, no pole
+    stack = np.array([[[2.0, 1.0], [1.0, 3.0]]], dtype=complex) * np.array([1e200, 1.0])[:, None, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = invert_or_refuse_poles(stack, "A")
+    assert got.tobytes() == np.linalg.inv(stack).tobytes()
+    assert svd_rule_calls == [(1,)]

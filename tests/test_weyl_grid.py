@@ -294,3 +294,19 @@ def test_batched_search_matches_the_scalar_scan(name, monkeypatch):
     assert len(got) == len(x0)
     np.testing.assert_allclose(sorted(got), x0, atol=1e-8)
     assert 0 < len(calls) <= 30 * len(got)
+
+
+@pytest.mark.parametrize("name", ["one_dim", "scaling_n2", "scaling_n3"])
+def test_search_scan_of_several_channels_makes_no_svd(name, monkeypatch):
+    # the inverse certifies every point of the scan, so the pole rule
+    # needs no singular values
+    spec, r = _model_and_r(name)
+    assert spec.n > 1
+    xs = np.linspace(*SEARCH_INTERVAL, 2000)
+    want = -np.linalg.inv(r + spec.spectral.m_hat_grid(xs))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    got = sx.weyl_m_grid(spec.spectral, r, xs)
+    assert calls == []
+    assert got.tobytes() == want.tobytes()
