@@ -58,7 +58,10 @@ Mhat(z), the Weyl function of the plain defect triplet, at one z and
 over an array of z (``SpectralModel.m_hat`` and ``m_hat_grid``): the
 closed forms ``radial_m_hat`` and ``radial_m_hat_grid`` for the point
 and scaling models, diag((1-u)/(2u), (1-u)/2) with u = sqrt(-z) for the
-one-dim model, and the series E(z) for the p-adic model.  The scalar
+one-dim model, and the series E(z) for the p-adic model.  On the negative
+axis the point (d = 1, 3), scaling and one-dim Mhat are polynomials in a
+power of -x (``SpectralModel.negative_axis``), from which the eigenvalue
+search takes its roots exactly (``radial_negative_axis``).  The scalar
 E(z) functions (``radial_resolvent_closed``, ``e_alpha``,
 ``point_interaction_resolvent``, ``_one_dim_resolvent`` and
 ``padic_resolvent``) give the independent check
@@ -83,7 +86,7 @@ from .errors import ConvergenceError, PoleError
 from .quadrature import integrate_half_line, integrate_half_line_complex
 from .symmetry import SymmetryFamily
 from .triplet import as_matrix, frozen_matrix, hermitian_within
-from .weyl import SpectralModel
+from .weyl import NegativeAxisPolynomial, SpectralModel
 
 GEOMETRIC_EXPONENTS = range(-3, 4)
 
@@ -214,6 +217,10 @@ def build_one_dim_model() -> ModelSpec:
         overlap=np.diag([0.25, 0.25]),
         psi_in_Hminus1=(True, False),
         m_hat_grid=_one_dim_m_hat,
+        # u Mhat = diag(1 - u, u - u^2) / 2 with u = sqrt(-x)
+        negative_axis=NegativeAxisPolynomial(
+            0.5, 1, np.array([np.diag([1.0, 0.0]), np.diag([-1.0, 1.0]),
+                              np.diag([0.0, -1.0])]) / 2.0),
     )
     return ModelSpec(KIND_ONE_DIM, {}, family, gram, spectral,
                      ("delta", "delta_prime"))
@@ -341,6 +348,17 @@ def radial_m_hat(nu: float, z: complex) -> complex:
     return complex(half_k * expm1(s * log_w) if s else -0.5 * log_w)
 
 
+def radial_negative_axis(nu: float, prefactor) -> NegativeAxisPolynomial | None:
+    """``radial_m_hat`` times the channel prefactor P as a polynomial on the
+    negative axis: (K/2) P (u - 1) with u = (-x)^(nu-1); None at nu = 1,
+    where Mhat is a logarithm."""
+    s, half_k = _radial_constants(nu)
+    if not s:
+        return None
+    p = half_k * np.atleast_2d(prefactor)
+    return NegativeAxisPolynomial(s, 0, np.array([-p, p]))
+
+
 def radial_m_hat_grid(nu: float, z: np.ndarray) -> np.ndarray:
     """``radial_m_hat`` at every point of a finite complex array z.
 
@@ -408,6 +426,7 @@ def build_point_interaction(d: int) -> ModelSpec:
         overlap=[[point_interaction_gram(d, 1.0)]],
         psi_in_Hminus1=(d == 1,),
         m_hat_grid=lambda z: (prefactor * radial_m_hat_grid(nu, z))[..., None, None],
+        negative_axis=radial_negative_axis(nu, prefactor),
     )
     return ModelSpec(KIND_POINT, {"d": int(d)}, family, gram, spectral,
                      ("delta",))
@@ -476,14 +495,16 @@ def padic_gram(p: int, alpha: float, m: int) -> float:
     return total
 
 
-def _padic_series(p: int, alpha: float, z: complex, closed: bool) -> complex:
+def _padic_series(p: int, alpha: float, z: complex, closed: bool,
+                  overlap: float | None = None) -> complex:
     """(p - 1) sum_N w_N / (lambda_N - z), w_N = p^-N if ``closed`` else c_N^2.
 
     Past n_z, the first scale with lambda_N <= |z|/2, the terms fall like
     p^-N; as N -> -inf like p^(a N), a = alpha - 1 if ``closed`` else
     3 alpha - 1.  The sum runs over 17 decades past scales 0 and n_z at
     these rates; ``ConvergenceError`` unless its edge terms and the
-    geometric bounds of both tails stay within ``SERIES_RTOL`` of it.
+    geometric bounds of both tails stay within ``SERIES_RTOL`` of it, or,
+    given the ``overlap``, within ``SERIES_RTOL`` of Mhat (``_m_hat_within``).
     """
     lam, c2, p_n, _ = _padic_scales(p, alpha)
     w, a = (p_n, alpha - 1.0) if closed else (c2, 3.0 * alpha - 1.0)
@@ -505,9 +526,20 @@ def _padic_series(p: int, alpha: float, z: complex, closed: bool) -> complex:
     tail += (2.0 * p ** (a * (lo - 2) - 1.0) / (1.0 - p ** -a)
              if lam[0] >= 2.0 * size else math.inf)
     bound = (p - 1) * (abs(terms[0]) + abs(terms[-1]) + tail)
-    if not bound <= SERIES_RTOL * abs(total):
+    if not bound <= SERIES_RTOL * abs(total) and not (
+            overlap is not None and _m_hat_within(bound, total, z, overlap)):
         raise ConvergenceError(f"p-adic series at z = {z!r} not within {SERIES_RTOL:g}")
     return total
+
+
+def _m_hat_within(bound, total, z, overlap):
+    """Whether the bound on E, carried to Mhat = w (overlap + w E) with
+    w = z + 1 as |w|^2 bound, is within ``SERIES_RTOL`` of |Mhat|: next to
+    a zero of E between two lambda_N, Mhat is regular and the series
+    converges, though its bound exceeds 1e-15 of |E|.  Element by element
+    over arrays."""
+    w = z + 1.0
+    return abs(w) ** 2 * bound <= SERIES_RTOL * abs(w * (overlap + w * total))
 
 
 def _series_window(log_p: float, a: float, half: int, n_z: int) -> tuple[int, int]:
@@ -517,22 +549,29 @@ def _series_window(log_p: float, a: float, half: int, n_z: int) -> tuple[int, in
             min(half, max(n_z, 0) + math.ceil(span) + 2))
 
 
-def padic_resolvent(p: int, alpha: float, z: complex) -> complex:
-    """((A0 - z)^-1 h, h) as the series (p - 1) sum_N c_N^2 / (lambda_N - z)."""
-    return _padic_series(p, alpha, complex(z), closed=False)
+def padic_resolvent(p: int, alpha: float, z: complex,
+                    overlap: float | None = None) -> complex:
+    """((A0 - z)^-1 h, h) as the series (p - 1) sum_N c_N^2 / (lambda_N - z).
+
+    Refused unless its bound is within ``SERIES_RTOL`` of E; given the
+    ``overlap`` (h, h), also where it is within ``SERIES_RTOL`` of Mhat,
+    for the model's ``m_hat``.
+    """
+    return _padic_series(p, alpha, complex(z), closed=False, overlap=overlap)
 
 
 PADIC_GRID_BLOCK = 256
 PADIC_GRID_TERMS = 1 << 16  # terms of one block: 1 MB of complex
 
 
-def padic_resolvent_grid(p: int, alpha: float, z: np.ndarray) -> np.ndarray:
+def padic_resolvent_grid(p: int, alpha: float, z: np.ndarray,
+                         overlap: float | None = None) -> np.ndarray:
     """``padic_resolvent`` at every point of a finite complex array z.
 
     The points that share a scale n_z share the scalar series' window,
     and are summed over it in blocks of at most ``PADIC_GRID_BLOCK``
     points and ``PADIC_GRID_TERMS`` terms, each point under the same
-    edge-and-tail check.
+    edge-and-tail check, with the ``overlap`` as in ``_padic_series``.
     """
     lam, c2, _, _ = _padic_scales(p, alpha)
     half, log_p, a = len(lam) // 2, math.log(p), 3.0 * alpha - 1.0
@@ -549,12 +588,13 @@ def padic_resolvent_grid(p: int, alpha: float, z: np.ndarray) -> np.ndarray:
         for k in range(0, len(points), step):
             block = points[k:k + step]
             out[block] = _padic_block(p, alpha, lam[lo + half:hi + half + 1],
-                                      c2[lo + half:hi + half + 1], flat[block], lo, hi)
+                                      c2[lo + half:hi + half + 1], flat[block], lo, hi,
+                                      overlap)
     return out.reshape(z.shape)
 
 
 def _padic_block(p: int, alpha: float, lam: np.ndarray, w: np.ndarray,
-                 z: np.ndarray, lo: int, hi: int) -> np.ndarray:
+                 z: np.ndarray, lo: int, hi: int, overlap: float | None) -> np.ndarray:
     """``_padic_series`` (closed=False) of a 1-D array of z over the scales lo..hi.
 
     A block of real z forms its terms in real arithmetic,
@@ -587,6 +627,8 @@ def _padic_block(p: int, alpha: float, lam: np.ndarray, w: np.ndarray,
                      2.0 * p ** (a * (lo - 2) - 1.0) / (1.0 - p ** -a), math.inf)
     bound = (p - 1) * (np.abs(terms[:, 0]) + np.abs(terms[:, -1]) + tail)
     bad = ~(bound <= SERIES_RTOL * np.abs(total))
+    if bad.any() and overlap is not None:
+        bad[bad] = ~_m_hat_within(bound[bad], total[bad], z[bad], overlap)
     if bad.any():
         raise ConvergenceError(f"p-adic series at z = {complex(z[bad][0])!r}"
                                f" not within {SERIES_RTOL:g}")
@@ -625,15 +667,18 @@ def build_padic_model(p: int, alpha: float) -> ModelSpec:
     gram = GramFunction(
         {float(p) ** m: [[padic_gram(p, alpha, m)]] for m in GEOMETRIC_EXPONENTS})
     closed = padic_closed_form_m(p, alpha) if alpha > 1.0 else None
-    overlap = np.array([[padic_gram(p, alpha, 0)]], dtype=complex)
+    gram_0 = padic_gram(p, alpha, 0)
+    overlap = np.array([[gram_0]], dtype=complex)
 
     def m_hat(z):  # w (overlap + w E(z)), w = z + 1, over the series E
         w = z + 1.0
-        return w * (overlap + w * np.array([[padic_resolvent(p, alpha, z)]]))
+        e = padic_resolvent(p, alpha, z, overlap=gram_0)
+        return w * (overlap + w * np.array([[e]]))
 
     def m_hat_grid(z):
         w = (z + 1.0)[..., None, None]
-        return w * (overlap + w * padic_resolvent_grid(p, alpha, z)[..., None, None])
+        e = padic_resolvent_grid(p, alpha, z, overlap=gram_0)
+        return w * (overlap + w * e[..., None, None])
 
     spectral = SpectralModel(
         n=1,
@@ -738,6 +783,7 @@ def build_scaling_invariant_3d(alpha: float, m_gram=None,
         overlap=overlap,
         psi_in_Hminus1=(False,) * n,
         m_hat_grid=lambda z: radial_m_hat_grid(alpha, z)[..., None, None] * m_mat,
+        negative_axis=radial_negative_axis(alpha, m_mat),
     )
     return ModelSpec(
         KIND_SCALING,

@@ -23,6 +23,7 @@ Krein's formula.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,9 +31,46 @@ import numpy as np
 
 from .errors import DimensionMismatchError, PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
-from .triplet import (POLE_RTOL, as_matrix, frozen_matrix, hermitian_within,
-                      invert_or_refuse_poles, refuse_stacked_poles,
-                      stacked_singular_values, within)
+from .triplet import (HERMITICITY_RTOL, POLE_RTOL, as_matrix, frozen_matrix,
+                      hermitian_within, invert_or_refuse_poles,
+                      refuse_stacked_poles, stacked_singular_values, within)
+
+
+@dataclass(frozen=True, eq=False)
+class NegativeAxisPolynomial:
+    """Mhat(x) = u^-d sum_k C_k u^k with u = (-x)^q on the negative axis.
+
+    Parameters
+    ----------
+    q : float
+        The exponent of u = (-x)^q, finite with 0 < |q| < 1, so that
+        x -> u is monotone and u on the principal branch maps the upper
+        half-plane of z into the sector |arg u| < |q| pi.
+    d : int
+        The power of u that divides the polynomial, d >= 0.
+    coeffs : (D + 1, n, n) array
+        C_0..C_D, finite.
+    """
+
+    q: float
+    d: int
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        q = float(self.q)
+        if not 0.0 < abs(q) < 1.0:
+            raise ValueError(f"need 0 < |q| < 1, got {self.q!r}")
+        if int(self.d) != self.d or self.d < 0:
+            raise ValueError(f"need an integer d >= 0, got {self.d!r}")
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2] or not len(coeffs):
+            raise ValueError("coeffs must be a nonempty stack of square matrices")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("matrix entries must be finite")
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +100,12 @@ class SpectralModel:
         The array form of ``m_hat``: Mhat at every point of a finite
         complex array z, with the same branch rules and errors, for
         ``weyl_m_grid``.  Without it ``weyl_m_grid`` loops over ``m_hat``.
+    negative_axis : NegativeAxisPolynomial, optional
+        Mhat on the negative axis as a polynomial in a power of -x, where
+        the model's symmetry makes it one; ``find_negative_eigenvalues``
+        then finds its roots from one small eigenproblem.  It must
+        continue analytically to ``m_hat`` off the axis, u = (-z)^q on
+        the principal branch.  Without it the search scans.
     """
 
     n: int
@@ -70,6 +114,7 @@ class SpectralModel:
     psi_in_Hminus1: tuple[bool, ...]
     closed_form_M: Callable[[complex], np.ndarray] | None = None
     m_hat_grid: Callable[[np.ndarray], np.ndarray] | None = None
+    negative_axis: NegativeAxisPolynomial | None = None
 
     def __post_init__(self):
         overlap = frozen_matrix(self.overlap)
@@ -81,6 +126,9 @@ class SpectralModel:
             raise ValueError("overlap must be positive definite")
         if len(self.psi_in_Hminus1) != self.n:
             raise ValueError("one membership flag per channel is required")
+        if (self.negative_axis is not None
+                and self.negative_axis.coeffs.shape[1] != self.n):
+            raise ValueError("negative-axis coefficients disagree with the channel count")
         object.__setattr__(self, "overlap", overlap)
 
 
@@ -229,23 +277,45 @@ def krein_correction(m_at_z, coupling) -> np.ndarray:
     return _invert_or_pole(b - m, "B - M(z)")
 
 
+# A root u of the search polynomial this near the real axis is real: in
+# the sector |arg u| < |q| pi the polynomial vanishes only on the axis.
+EXACT_IMAG_RTOL = 1e-6
+
+
 def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
                               search_interval: tuple[float, float],
                               tol: float = DEFAULT_TOL,
                               num: int = 2000) -> list[float]:
     """Roots of det(B - M(x)) on an interval of the negative axis.
 
-    Scans ``num`` >= 2 grid points for sign changes of the (real)
-    determinant and bisects each bracket to width ``tol`` > 0.  B must be
-    n x n for the model's n channels (``DimensionMismatchError``
-    otherwise; it is never broadcast against M(x)), and Hermitian: the
-    real-axis eigenvalue search is meaningful for self-adjoint
-    realizations.  A bracket whose refined midpoint does not reduce the
-    determinant magnitude (a pole crossing rather than a root) is dropped.
+    Returns each distinct root once, in ascending order.  B must be n x n
+    for the model's n channels (``DimensionMismatchError`` otherwise; it
+    is never broadcast against M(x)), and Hermitian: the real-axis
+    eigenvalue search is meaningful for self-adjoint realizations.
 
-    The scan is one ``weyl_m_grid`` call; the bisection and the final
-    check of each bracket call scalar ``weyl_m``, about log2 of the cell
-    width over ``tol`` times per root.
+    Where the model carries ``negative_axis`` (Mhat(x) = u^-d sum_k C_k u^k,
+    u = (-x)^q), the roots are exact: with K(x) = R + Mhat(x),
+    det(B - M(x)) = det(I + B K(x)) / det K(x), so they are the real u in
+    the image of the interval where the matrix polynomial
+    u^d (I + B R) + sum_k B C_k u^k is singular.  One ``np.linalg.eigvals``
+    of its block companion matrix, shifted to the image of a point on the
+    imaginary axis where the polynomial is invertible, finds them, each
+    as often as its multiplicity; roots closer than ``tol`` are merged.
+    Two scalar ``weyl_m`` calls certify their number: on a pole-free
+    interval B - M(x) is Hermitian and strictly decreasing, so its count
+    of negative eigenvalues grows from ``lo`` to ``hi`` by exactly the
+    number of roots, multiplicity included.  A count that disagrees (a
+    pole of M in the interval, a root at an end) sends the search to the
+    scan.
+
+    Otherwise the search scans ``num`` >= 2 grid points for sign changes
+    of the (real) determinant and bisects each bracket to width ``tol`` >
+    0.  A bracket whose refined midpoint does not reduce the determinant
+    magnitude (a pole crossing rather than a root) is dropped, and a root
+    of even multiplicity makes no sign change and is missed.  The scan is
+    one ``weyl_m_grid`` call; the bisection and the final check of each
+    bracket call scalar ``weyl_m``, about log2 of the cell width over
+    ``tol`` times per root.
     """
     b = as_matrix(coupling)
     if b.shape[0] != model.n:
@@ -259,6 +329,68 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
     if num < 2:
         raise ValueError(f"need num >= 2, got {num!r}")
     check_tol(tol)
+    if model.negative_axis is not None:
+        roots = _exact_roots(model, reg, b, lo, hi, tol)
+        if roots is not None:
+            return roots
+    return _scan_roots(model, reg, b, lo, hi, tol, num)
+
+
+def _negative_count(a: np.ndarray) -> int | None:
+    """Negative eigenvalues of a Hermitian matrix; None if one is zero to
+    rounding, where the count is not decided."""
+    eigs = np.linalg.eigvalsh(a)
+    size = np.abs(eigs)
+    if within(float(size.min()), HERMITICITY_RTOL, float(size.max())):
+        return None
+    return int((eigs < 0.0).sum())
+
+
+def _exact_roots(model: SpectralModel, reg, b: np.ndarray, lo: float, hi: float,
+                 tol: float) -> list[float] | None:
+    """The roots from the model's ``negative_axis`` datum, or None where
+    their number disagrees with the inertia count."""
+    above = _negative_count(b - weyl_m(model, reg, hi).matrix)
+    below = _negative_count(b - weyl_m(model, reg, lo).matrix)
+    if above is None or below is None:
+        return None
+    datum, n = model.negative_axis, model.n
+    deg = max(datum.d, len(datum.coeffs) - 1)
+    poly = np.zeros((deg + 1, n, n), dtype=complex)
+    poly[:len(datum.coeffs)] = b @ datum.coeffs
+    poly[datum.d] += np.eye(n) + b @ as_matrix(reg)
+    # P(sigma + 1/mu) mu^deg = sum_j T_j mu^(deg-j) with T_j the Taylor
+    # coefficients of P at sigma; T_0 = P(sigma) is invertible, since
+    # sigma is u at z = -i sqrt(lo hi), off the spectrum.
+    sigma = (1j * math.sqrt(lo * hi)) ** datum.q
+    taylor = [sum(math.comb(k, j) * sigma ** (k - j) * poly[k] for k in range(j, deg + 1))
+              for j in range(deg + 1)]
+    companion = np.eye(deg * n, k=-n, dtype=complex)
+    try:
+        companion[:n] = -np.linalg.solve(taylor[0], np.concatenate(taylor[1:], axis=1))
+        mu = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:  # a singular P(sigma), or entries not finite
+        return None
+    mu = mu[mu != 0.0]  # a root at infinity
+    with np.errstate(over="ignore"):
+        u = sigma + 1.0 / mu
+    u_lo, u_hi = sorted(((-lo) ** datum.q, (-hi) ** datum.q))
+    real = u.real[(np.abs(u.imag) <= EXACT_IMAG_RTOL * np.abs(u))
+                  & (u.real > u_lo) & (u.real < u_hi)]
+    if len(real) != above - below:
+        return None
+    clusters: list[list[float]] = []
+    for x in sorted((-(real ** (1.0 / datum.q))).tolist()):
+        if clusters and x - clusters[-1][-1] < tol:
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    return [sum(c) / len(c) for c in clusters]
+
+
+def _scan_roots(model: SpectralModel, reg, b: np.ndarray, lo: float, hi: float,
+                tol: float, num: int) -> list[float]:
+    """Sign changes of det(B - M(x)) on ``num`` grid points, bisected."""
 
     def det_val(x: float) -> float:
         d = complex(np.linalg.det(b - weyl_m(model, reg, x).matrix))

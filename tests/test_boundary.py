@@ -78,7 +78,9 @@ def test_smatrix_refuses_z_that_is_not_finite(bad):
 
 def test_scipy_integrate_loads_at_the_first_quadrature():
     # every model builds from closed forms and arrays; only the oracles
-    # (here criterion 2's c_alpha) integrate
+    # (here criterion 2's c_alpha) integrate.  The exact eigenvalue search
+    # of the continuous families uses numpy only: scipy.linalg would cost
+    # 0.3 to 0.45 s and about 26 MB at its first import.
     script = "\n".join([
         "import contextlib, io, sys",
         "import singext",
@@ -97,11 +99,16 @@ def test_scipy_integrate_loads_at_the_first_quadrature():
         "         ['classify', '--kind', 'PointInteractionRd', '--d', '3'],",
         "         ['weyl', '--kind', 'PointInteractionRd', '--d', '3', '--z=-1,0'],",
         "         ['spectrum', '--kind', 'PAdicVladimirov', '--p', '2', '--alpha', '1.5',",
-        "          '--B', '[[-0.57]]', '--interval=-3,-0.3']]",
+        "          '--B', '[[-0.57]]', '--interval=-3,-0.3'],",
+        "         ['spectrum', '--kind', 'ScalingInvariant3D', '--alpha', '1.5', '--n', '2',",
+        "          '--B', '[[0.5,0],[0,0.5]]', '--interval=-3,-0.3'],",
+        "         ['spectrum', '--kind', 'OneDimDeltaDeltaPrime',",
+        "          '--B', '[[-1,0],[0,4]]', '--interval=-3,-0.1']]",
         "for argv in calls:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert cli.run(argv) == 0, argv",
         "assert 'scipy.integrate' not in sys.modules",
+        "assert 'scipy.linalg' not in sys.modules",
         "models.c_alpha(1.5)",
         "assert 'scipy.integrate' in sys.modules",
     ])

@@ -13,15 +13,22 @@ from singext.errors import ConvergenceError, PoleError
 from singext.models import padic_closed_form_m
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the sign-change search of "
-                   "det(B - M(x)) misses eigenvalues of even multiplicity")
-def test_double_eigenvalue_is_found():
-    model = sx.build_scaling_invariant_3d(1.5, n=2)
+# Roots of even multiplicity make no sign change of det(B - M(x)), so the
+# scan misses them; the exact route of the continuous families finds them.
+@pytest.mark.parametrize("build, coupling, interval, root", [
+    # orthonormal scaling 3/2 with B = M(-1) = 0.5 I: a double root at -1
+    (lambda: sx.build_scaling_invariant_3d(1.5, n=2), 0.5 * np.eye(2), (-3.0, -0.3), -1.0),
+    # one-dim with B = diag(-1, 4): both diagonal factors of B - M(x)
+    # vanish at sqrt(-x) = 1/2
+    (sx.build_one_dim_model, np.diag([-1.0, 4.0]), (-3.0, -0.1), -0.25),
+], ids=["scaling 3/2 n=2", "one-dim diag(-1, 4)"])
+def test_double_eigenvalue_is_found(build, coupling, interval, root):
+    model = build()
     r = sx.solve_homogeneous_R(model.family, model.gram).matrix
-    b = sx.weyl_m(model.spectral, r, -1.0).matrix.real
-    np.testing.assert_allclose(b, 0.5 * np.eye(2), atol=1e-9)
-    roots = sx.find_negative_eigenvalues(model.spectral, r, b, (-3.0, -0.3))
-    assert any(abs(x + 1.0) <= 1e-8 for x in roots), roots
+    m = sx.weyl_m(model.spectral, r, root).matrix
+    np.testing.assert_allclose(np.linalg.eigvalsh(coupling - m), [0.0, 0.0], atol=1e-9)
+    roots = sx.find_negative_eigenvalues(model.spectral, r, coupling, interval)
+    assert len(roots) == 1 and abs(roots[0] - root) <= 1e-12, roots
 
 
 @pytest.mark.parametrize("z", [1.0 + 1e-12j, -1e-14 + 0j])

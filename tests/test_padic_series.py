@@ -250,3 +250,69 @@ def test_a_block_mixing_real_and_nonreal_z_takes_the_complex_quotient(p, alpha):
     want = np.array([models.padic_resolvent(p, alpha, zk) for zk in z.tolist()])
     assert got.tobytes() == want.tobytes()
     assert (got.imag[2:] != 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# Mhat next to a zero of E(x) between two eigenvalues lambda_N
+# ---------------------------------------------------------------------------
+
+# The series converges there, but its edge-and-tail bound exceeds 1e-15 of
+# |E|, which vanishes: E is refused.  Mhat = w (overlap + w E), w = x + 1,
+# is regular, and the model accepts the sum where the bound carried to it,
+# |w|^2 bound, is within 1e-15 of |Mhat|.
+NEAR_ZERO_OF_E = [(2, 1.5, 0.7857754080156192), (3, 0.75, 10.5279)]
+
+
+def mpmath_m_hat(p, alpha, x):
+    w = x + 1.0
+    return w * (float(mpmath_gram(p, alpha, 0))
+                + w * mpmath_series(p, alpha, complex(x), closed=False))
+
+
+@pytest.mark.parametrize("p, alpha, x", NEAR_ZERO_OF_E)
+def test_m_hat_is_accepted_next_to_a_zero_of_e(p, alpha, x):
+    with pytest.raises(ConvergenceError):
+        models.padic_resolvent(p, alpha, x)
+    with pytest.raises(ConvergenceError):
+        models.padic_resolvent_grid(p, alpha, np.array([x]))
+    spec = sx.build_padic_model(p, alpha)
+    r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix[0, 0]
+    want = mpmath_m_hat(p, alpha, x)
+    # in a block with a point that passes E's own rule, and alone
+    grid = spec.spectral.m_hat_grid(np.array([x, 1.01 * x], dtype=complex))
+    assert relative_error(spec.spectral.m_hat(x)[0, 0], want) <= REL_TOL
+    assert relative_error(grid[0, 0, 0], want) <= REL_TOL
+    assert relative_error(grid[1, 0, 0], mpmath_m_hat(p, alpha, 1.01 * x)) <= REL_TOL
+    want_m = -1.0 / (r + want)
+    assert relative_error(sx.weyl_m(spec.spectral, r, x).matrix[0, 0], want_m) <= REL_TOL
+    assert relative_error(sx.weyl_m_grid(spec.spectral, r, [x])[0, 0, 0], want_m) <= REL_TOL
+
+
+@pytest.mark.parametrize("p, alpha", MODELS)
+def test_m_hat_keeps_e_rule_values_bit_for_bit(p, alpha):
+    # where E passes its own rule, Mhat is w (overlap + w E) as before; where
+    # E is refused, Mhat is refused too or meets the rule carried to it
+    spec = sx.build_padic_model(p, alpha)
+    overlap = spec.spectral.overlap
+    z = np.concatenate([[0.0], -np.logspace(-6, 4, 200),
+                        np.logspace(-3, 3, 800)]).astype(complex)
+    refused = []
+    for zk in z.tolist():
+        try:
+            e = models.padic_resolvent(p, alpha, zk)
+        except PoleError:
+            continue
+        except ConvergenceError:
+            try:
+                got = spec.spectral.m_hat(zk)[0, 0]
+            except ConvergenceError:
+                refused.append(zk)
+                continue
+            assert relative_error(got, mpmath_m_hat(p, alpha, zk.real)) <= REL_TOL, zk
+            continue
+        w = zk + 1.0
+        want = w * (overlap + w * np.array([[e]]))
+        assert _bits(spec.spectral.m_hat(zk)) == want.tobytes(), zk
+        assert _bits(spec.spectral.m_hat_grid(np.array([zk]))[0]) == want.tobytes(), zk
+    # E diverges at 0 for alpha >= 1, and so does Mhat
+    assert refused == ([0j] if alpha >= 1.0 else [])
