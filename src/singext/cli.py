@@ -314,9 +314,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--B", required=True, help="coupling matrix")
     sub.add_argument("--interval", required=True, help="'lo,hi' below 0")
     sub.add_argument("--num", type=grid_size, default=2000,
-                     help="scan grid size (default 2000); the exact route of "
-                          "the point (d = 1, 3), scaling and one-dim models "
-                          "does not scan unless its root count disagrees")
+                     help="scan grid size (default 2000); only a search of "
+                          "several channels whose exact root count disagrees "
+                          "scans: the point (d = 1, 3), scaling and one-dim "
+                          "models take the exact route, and one channel "
+                          "without it (p-adic, point d = 2) brackets its "
+                          "one root")
     sub = command("nonneg", _cmd_nonneg,
                   "nonnegativity criterion for a realization", [solver_flags])
     sub.add_argument("--B", required=True, help="coupling matrix")

@@ -105,7 +105,8 @@ class SpectralModel:
         the model's symmetry makes it one; ``find_negative_eigenvalues``
         then finds its roots from one small eigenproblem.  It must
         continue analytically to ``m_hat`` off the axis, u = (-z)^q on
-        the principal branch.  Without it the search scans.
+        the principal branch.  Without it a one-channel search brackets
+        its one root, and a search of several channels scans.
     """
 
     n: int
@@ -293,29 +294,47 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
     is never broadcast against M(x)), and Hermitian: the real-axis
     eigenvalue search is meaningful for self-adjoint realizations.
 
-    Where the model carries ``negative_axis`` (Mhat(x) = u^-d sum_k C_k u^k,
-    u = (-x)^q), the roots are exact: with K(x) = R + Mhat(x),
-    det(B - M(x)) = det(I + B K(x)) / det K(x), so they are the real u in
-    the image of the interval where the matrix polynomial
-    u^d (I + B R) + sum_k B C_k u^k is singular.  One ``np.linalg.eigvals``
-    of its block companion matrix, shifted to the image of a point on the
-    imaginary axis where the polynomial is invertible, finds them, each
-    as often as its multiplicity; roots closer than ``tol`` are merged.
-    Two scalar ``weyl_m`` calls certify their number: on a pole-free
-    interval B - M(x) is Hermitian and strictly decreasing, so its count
-    of negative eigenvalues grows from ``lo`` to ``hi`` by exactly the
-    number of roots, multiplicity included.  A count that disagrees (a
-    pole of M in the interval, a root at an end) sends the search to the
-    scan.
+    It takes one of three routes.
 
-    Otherwise the search scans ``num`` >= 2 grid points for sign changes
-    of the (real) determinant and bisects each bracket to width ``tol`` >
-    0.  A bracket whose refined midpoint does not reduce the determinant
-    magnitude (a pole crossing rather than a root) is dropped, and a root
-    of even multiplicity makes no sign change and is missed.  The scan is
-    one ``weyl_m_grid`` call; the bisection and the final check of each
-    bracket call scalar ``weyl_m``, about log2 of the cell width over
-    ``tol`` times per root.
+    1. Exact, where the model carries ``negative_axis`` (Mhat(x) =
+       u^-d sum_k C_k u^k, u = (-x)^q): with K(x) = R + Mhat(x),
+       det(B - M(x)) = det(I + B K(x)) / det K(x), so the roots are the
+       real u in the image of the interval where the matrix polynomial
+       u^d (I + B R) + sum_k B C_k u^k is singular.  One
+       ``np.linalg.eigvals`` of its block companion matrix, shifted to the
+       image of a point on the imaginary axis where the polynomial is
+       invertible, finds them, each as often as its multiplicity; roots
+       closer than ``tol`` are merged.  Two scalar ``weyl_m`` calls
+       certify their number: on a pole-free interval B - M(x) is Hermitian
+       and strictly decreasing, so its count of negative eigenvalues grows
+       from ``lo`` to ``hi`` by exactly the number of roots, multiplicity
+       included.  A count that disagrees (a pole of M in the interval, a
+       root at an end) or is undecided (a pole of M at an end) goes on to
+       route 2 or 3.
+    2. One bracketed root, for one channel (n = 1) without the datum
+       (p-adic, point d = 2) or where route 1's count disagrees.  Here
+       det(B - M(x)) = g(x) / K(x) with g(x) = 1 + B K(x), real and
+       monotone on the negative axis, since Mhat is strictly increasing
+       there (A0 >= 0).  So a rank-one perturbation has at most one
+       negative eigenvalue, and a pole of M (K = 0, g = 1) is no event.
+       The signs of g at ``lo`` and ``hi`` decide between no root and
+       one; a g of 0 at an end makes that end the root.  A regula falsi
+       on g from ``model.m_hat`` (``_bracketed_root``), with no inversion,
+       closes the bracket to 2 ulp or stops where g is 0: a relative
+       stop, which ``tol`` does not set.  It takes about 10 ``m_hat``
+       calls and no ``weyl_m`` call.
+    3. The scan, for n >= 2 where route 1's count disagrees: ``num`` >= 2
+       grid points for sign changes of the (real) determinant, each
+       bracket bisected to width ``tol`` > 0.  A bracket whose refined
+       midpoint does not reduce the determinant magnitude (a pole crossing
+       rather than a root) is dropped, and a root of even multiplicity
+       makes no sign change and is missed.  The scan is one
+       ``weyl_m_grid`` call; the bisection and the final check of each
+       bracket call scalar ``weyl_m``, about log2 of the cell width over
+       ``tol`` times per root.
+
+    ``tol`` and ``num`` are checked on every route.  The backend's errors
+    (``ConvergenceError``, ``PoleError``) propagate.
     """
     b = as_matrix(coupling)
     if b.shape[0] != model.n:
@@ -324,7 +343,7 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
     if not hermitian_within(b):
         raise ValueError("eigenvalue search requires a Hermitian B")
     lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not lo < hi < 0:
+    if not -math.inf < lo < hi < 0:
         raise ValueError("search interval must satisfy lo < hi < 0")
     if num < 2:
         raise ValueError(f"need num >= 2, got {num!r}")
@@ -333,6 +352,8 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
         roots = _exact_roots(model, reg, b, lo, hi, tol)
         if roots is not None:
             return roots
+    if model.n == 1:
+        return _one_channel_root(model, reg, float(b[0, 0].real), lo, hi)
     return _scan_roots(model, reg, b, lo, hi, tol, num)
 
 
@@ -349,9 +370,13 @@ def _negative_count(a: np.ndarray) -> int | None:
 def _exact_roots(model: SpectralModel, reg, b: np.ndarray, lo: float, hi: float,
                  tol: float) -> list[float] | None:
     """The roots from the model's ``negative_axis`` datum, or None where
-    their number disagrees with the inertia count."""
-    above = _negative_count(b - weyl_m(model, reg, hi).matrix)
-    below = _negative_count(b - weyl_m(model, reg, lo).matrix)
+    their number disagrees with the inertia count or a pole of M at an
+    end leaves that count undecided."""
+    try:
+        above = _negative_count(b - weyl_m(model, reg, hi).matrix)
+        below = _negative_count(b - weyl_m(model, reg, lo).matrix)
+    except PoleError:  # a pole of M at an end leaves the count undecided
+        return None
     if above is None or below is None:
         return None
     datum, n = model.negative_axis, model.n
@@ -386,6 +411,101 @@ def _exact_roots(model: SpectralModel, reg, b: np.ndarray, lo: float, hi: float,
         else:
             clusters.append([x])
     return [sum(c) / len(c) for c in clusters]
+
+
+def _one_channel_root(model: SpectralModel, reg, b: float, lo: float,
+                      hi: float) -> list[float]:
+    """The root of g(x) = 1 + B (R + Mhat(x)) in [lo, hi], if there is one.
+
+    For n = 1, det(B - M(x)) = g(x) / K(x) with K = R + Mhat.  Mhat is
+    strictly increasing on the negative axis (A0 >= 0), so g is monotone:
+    its signs at the ends decide between no root and one, and a pole of M
+    (K = 0, g = 1) is no event.  Mhat comes from ``model.m_hat``, with
+    no inversion.
+    """
+    r = as_matrix(reg)
+    if r.shape != (1, 1):
+        raise ValueError("R dimension disagrees with the model")
+    r = complex(r[0, 0])
+
+    def g(x: float) -> float:
+        m_hat = np.asarray(model.m_hat(complex(x)), dtype=complex)
+        if m_hat.size != 1:
+            raise ValueError("Mhat(z) has the wrong dimension")
+        k = r + m_hat.item()
+        if not cmath.isfinite(k):
+            raise ValueError("matrix entries must be finite")
+        return 1.0 + b * k.real
+
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo == 0.0 or g_hi == 0.0:
+        return [lo if g_lo == 0.0 else hi]
+    if (g_lo < 0.0) == (g_hi < 0.0):
+        return []
+    return [_bracketed_root(g, lo, hi, g_lo, g_hi)]
+
+
+def _log_width(a: float, b: float) -> float:
+    """log(a / b) for a < b < 0, without overflow or cancellation."""
+    return math.log(-a) - math.log(-b) if a < 2.0 * b else math.log1p((a - b) / b)
+
+
+def _bracketed_root(g: Callable[[float], float], a: float, b: float,
+                    g_a: float, g_b: float) -> float:
+    """A root of g in (a, b), a < b < 0, with g(a) = g_a and g(b) = g_b of
+    opposite signs, to within 2 ulp of the bracket or where g is 0.
+
+    Regula falsi with the Anderson-Bjoerck weights: interpolate between
+    the weighted ends, and where the same end moves twice in a row, scale
+    the weight of the other by 1 - g(new) / g(old), or by 1/2 (the
+    Illinois rule) where that is not positive.  A p-adic search on
+    (-3, -0.3) then takes 8 to 11 evaluations of g, ends included, where
+    the Illinois rule alone took 10 to 14.  It interpolates in log(-x)
+    while the bracket spans more than a factor 2, and in x after.  Where
+    three interpolations have not halved log(a / b), it splits the
+    bracket instead, at the geometric mean or the midpoint, until they
+    have; so the bracket shrinks at least geometrically whatever the
+    shape of g.
+    """
+    w_a, w_b = g_a, g_b  # the interpolation weights of the ends
+    # steps: interpolations since log(a / b) last halved, to ``width``
+    side, steps, width, nudge = 0, 0, _log_width(a, b), 2.0
+    while b - a > 2.0 * math.ulp(a):
+        wide = a < 2.0 * b
+        x = math.nan
+        if steps < 3:
+            steps += 1
+            if wide:
+                s_a, s_b = math.log(-a), math.log(-b)
+                x = -math.exp(s_b - w_b * (s_b - s_a) / (w_b - w_a))
+            else:
+                x = b - w_b * (b - a) / (w_b - w_a)
+            inner = min(max(x, a + nudge * math.ulp(a)), b - nudge * math.ulp(b))
+            if inner != x:
+                # next to an end, a step of 2 ulp inside it closes the bracket
+                # at a root there; where g is flat to rounding, the step
+                # doubles each time
+                x, nudge = inner, 2.0 * nudge
+        if not a < x < b:
+            x = -math.sqrt(-a) * math.sqrt(-b) if wide else a + 0.5 * (b - a)
+        g_x = g(x)
+        if g_x == 0.0:
+            return x
+        if (g_x < 0.0) == (g_a < 0.0):
+            if side < 0:
+                m = 1.0 - g_x / g_a
+                w_b *= m if m > 0.0 else 0.5
+            a, g_a, w_a = x, g_x, g_x
+            side = -1
+        else:
+            if side > 0:
+                m = 1.0 - g_x / g_b
+                w_a *= m if m > 0.0 else 0.5
+            b, g_b, w_b = x, g_x, g_x
+            side = 1
+        if _log_width(a, b) <= 0.5 * width:
+            steps, width = 0, _log_width(a, b)
+    return a if abs(g_a) < abs(g_b) else b
 
 
 def _scan_roots(model: SpectralModel, reg, b: np.ndarray, lo: float, hi: float,

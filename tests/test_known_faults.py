@@ -5,10 +5,13 @@ test passes, the strict marker turns that into a failure, and the marker
 must come off.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 import singext as sx
+from singext import cli
 from singext.errors import ConvergenceError, PoleError
 from singext.models import padic_closed_form_m
 
@@ -69,3 +72,15 @@ def test_padic_weyl_m_keeps_its_accuracy_at_large_z(padic, padic_r, z):
     exact = padic_closed_form_m(2, 1.5)(z)[0, 0]
     got = sx.weyl_m(padic.spectral, padic_r, z).matrix[0, 0]
     assert abs(got - exact) <= 1e-12 * abs(exact), abs(got - exact) / abs(exact)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 14: nonneg decides every model by "
+                   "the Loewner test of orthonormal channels, and prints false here")
+def test_nonneg_of_point_d1_is_right_or_refused(capsys):
+    # R = 1/2 and Mhat(x) = ((-x)^(-1/2) - 1) / 2 give K(x) = R + Mhat(x)
+    # = (-x)^(-1/2) / 2 > 0, so g = 1 + B K > 0 on all of (-inf, 0) for
+    # B = 0.13: by Krein's formula the realization has no negative eigenvalue
+    code = cli.run(["nonneg", "--kind", "PointInteractionRd", "--d", "1", "--B", "[[0.13]]"])
+    out = capsys.readouterr().out
+    assert code == 3 or (code == 0 and json.loads(out)["output"]["nonnegative"] is True), out

@@ -174,7 +174,7 @@ def test_find_negative_eigenvalue_constructed_root(padic, padic_r):
     roots = sx.find_negative_eigenvalues(padic.spectral, padic_r, b,
                                          (-3.0, -0.3), tol=1e-9, num=200)
     assert len(roots) == 1
-    assert roots[0] == pytest.approx(-1.0, abs=1e-8)
+    assert roots[0] == pytest.approx(-1.0, rel=1e-13, abs=0.0)
 
 
 def test_find_negative_eigenvalues_zero_coupling(padic, padic_r):

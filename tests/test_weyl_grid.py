@@ -4,8 +4,10 @@ The array forms of Mhat(z) round in another order than the scalar
 kernels (numpy's vector loops, a stacked inverse), so the grid agrees
 with ``weyl_m`` to rounding, not bit for bit; the p-adic series sums
 each point over the scalar window and agrees exactly.  The
-eigenvalue search scans with the grid and bisects with scalar
-``weyl_m``, so its roots equal those of the scalar scan.
+eigenvalue scan, which searches of several channels still take where
+the exact route's count disagrees, scans with the grid and bisects with
+scalar ``weyl_m``, so on the p-adic model its roots equal those of the
+scalar scan.
 """
 
 import warnings
@@ -285,25 +287,38 @@ def _planted_coupling(spec, r, x0):
 
 @pytest.mark.parametrize("name", sorted(PLANTED))
 def test_batched_search_matches_the_scalar_scan(name, monkeypatch):
-    # The p-adic model has no negative-axis polynomial: its search scans,
-    # bit for bit with the scalar scan.  The continuous families find the
-    # planted roots exactly, with two scalar weyl_m calls for the count.
+    # No planted search scans.  The continuous families find the planted
+    # roots exactly, with two scalar weyl_m calls for the count.  The
+    # p-adic model has no negative-axis polynomial: its one channel
+    # brackets the one root of 1 + B (R + Mhat(x)) with m_hat alone.
     spec, r = _model_and_r(name)
     x0 = PLANTED[name]
     b = _planted_coupling(spec, r, x0)
-    calls = []
-    scalar = weyl.weyl_m
+    calls, scans = [], []
+    scalar, scan = weyl.weyl_m, weyl._scan_roots
     monkeypatch.setattr(weyl, "weyl_m", lambda *a: calls.append(a[2]) or scalar(*a))
+    monkeypatch.setattr(weyl, "_scan_roots", lambda *a: scans.append(a) or scan(*a))
     got = sx.find_negative_eigenvalues(spec.spectral, r, b, SEARCH_INTERVAL)
     assert len(got) == len(x0)
+    assert scans == []
     if spec.spectral.negative_axis is None:
-        monkeypatch.setattr(weyl, "weyl_m", scalar)
-        assert got == _scalar_scan_search(spec.spectral, r, b, SEARCH_INTERVAL)
-        np.testing.assert_allclose(got, x0, rtol=0.0, atol=1e-8)
-        assert 0 < len(calls) <= 30 * len(got)
+        np.testing.assert_allclose(got, x0, rtol=1e-12, atol=0.0)
+        assert calls == []
     else:
         np.testing.assert_allclose(got, x0, rtol=0.0, atol=1e-12)
         assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("name", ["padic_2_1.5", "padic_3_0.75"])
+def test_the_scan_matches_the_scalar_scan(name):
+    # the p-adic grid equals scalar weyl_m bit for bit, so the scan, which
+    # searches of several channels still take, equals the scalar scan
+    spec, r = _model_and_r(name)
+    x0 = PLANTED[name]
+    b = _planted_coupling(spec, r, x0).astype(complex)
+    got = weyl._scan_roots(spec.spectral, r, b, *SEARCH_INTERVAL, DEFAULT_TOL, 2000)
+    assert got == _scalar_scan_search(spec.spectral, r, b, SEARCH_INTERVAL)
+    np.testing.assert_allclose(got, x0, rtol=0.0, atol=1e-8)
 
 
 @pytest.mark.parametrize("name", ["one_dim", "scaling_n2", "scaling_n3"])
