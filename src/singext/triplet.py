@@ -19,6 +19,7 @@ triplet conventions must account for this sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +97,21 @@ def _frobenius_sq(mats: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", parts, parts)
 
 
+def _frobenius_sq_one(mat: np.ndarray) -> float:
+    """Squared Frobenius norm of one matrix, summed in Python floats, which
+    overflow to inf and underflow to 0 without a warning."""
+    total = 0.0
+    for x in mat.ravel().tolist():
+        total += (x * x.conjugate()).real
+    return total
+
+
+_CERT_SQ = (POLE_CERT_MARGIN * POLE_RTOL) ** 2
+
+
 def invert_or_refuse_poles(mats: np.ndarray, what: str) -> np.ndarray:
-    """``np.linalg.inv`` of a checked stack (..., n, n), under the pole rule.
+    """``np.linalg.inv`` of a matrix (n, n) or a stack (..., n, n), under
+    the pole rule.
 
     Raises ``PoleError`` exactly where ``refuse_stacked_poles`` does, and
     otherwise returns ``np.linalg.inv(mats)`` bit for bit, with an SVD
@@ -111,18 +125,32 @@ def invert_or_refuse_poles(mats: np.ndarray, what: str) -> np.ndarray:
     ``POLE_RTOL`` * max(1, sigma_max), and the SVD rule, whose singular
     values are also within about eps ||A|| of the true ones, would not
     refuse it either.  A matrix the certificate does not clear (an
-    inverse that is near the threshold, overflows or is not finite) goes
-    to ``refuse_stacked_poles``.  An exactly singular matrix, on which
-    ``np.linalg.inv`` raises ``LinAlgError``, sends the whole stack to
-    the SVD rule, and is a ``PoleError`` even where that rule would pass.
+    inverse that is near the threshold, overflows or is not finite, or a
+    squared norm that overflows) goes to ``refuse_stacked_poles``.  An
+    exactly singular matrix, on which ``np.linalg.inv`` raises
+    ``LinAlgError``, sends the whole stack to the SVD rule, and is a
+    ``PoleError`` even where that rule would pass.
+
+    A stack must be finite.  A single matrix (n, n) is checked here: its
+    norms are summed over its n^2 entries in Python floats, cheaper than
+    numpy's per-call cost, a finite ||A||_F is its finiteness check, and
+    an entry that is not finite raises ``ValueError``.
     """
+    if mats.ndim == 2:
+        a_sq = _frobenius_sq_one(mats)
+        if not math.isfinite(a_sq) and not np.isfinite(mats).all():
+            raise ValueError("matrix entries must be finite")
     try:
         inv = np.linalg.inv(mats)
     except np.linalg.LinAlgError:
         refuse_stacked_poles(mats, what)
         raise PoleError(f"{what} is singular at the requested point") from None
+    if mats.ndim == 2:
+        if not _CERT_SQ * _frobenius_sq_one(inv) * max(1.0, a_sq) < 1.0:
+            refuse_stacked_poles(mats, what)
+        return inv
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = (POLE_CERT_MARGIN * POLE_RTOL) ** 2 * _frobenius_sq(inv)
+        bound = _CERT_SQ * _frobenius_sq(inv)
         cleared = bound * np.maximum(1.0, _frobenius_sq(mats)) < 1.0
     if not cleared.all():
         refuse_stacked_poles(mats[~cleared], what)

@@ -31,9 +31,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
-from .triplet import (HERMITICITY_RTOL, POLE_RTOL, as_matrix, frozen_matrix,
+from .triplet import (HERMITICITY_RTOL, as_matrix, frozen_matrix,
                       hermitian_within, invert_or_refuse_poles,
-                      refuse_stacked_poles, stacked_singular_values, within)
+                      refuse_stacked_poles, within)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,24 +164,20 @@ class WeylEvaluation:
                      / max(np.linalg.norm(ref), 1e-300))
 
 
-def _invert_or_pole(mat: np.ndarray, what: str) -> np.ndarray:
-    svals = stacked_singular_values(mat)
-    if within(svals[-1], POLE_RTOL, float(svals[0])):
-        raise PoleError(f"{what} is singular at the requested point")
-    return np.linalg.inv(mat)
-
-
 def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     """Weyl matrix M(z) = -(R + Mhat(z))^-1 of the regularized triplet.
 
     A singular R + Mhat(z) raises ``PoleError``: the requested point is
-    an eigenvalue of the regularizing extension.  A real z > 0 lies on
-    the continuous spectrum; the closed-form backends (one-dim, scaling
-    and point interactions) return the boundary value M(z + i0) from the
-    upper half-plane there.  A z or R + Mhat(z) that is not finite and a
-    Mhat(z) of the wrong shape raise ``ValueError``.  When the model
-    carries a closed form, the evaluation reports its discrepancy on
-    access.
+    an eigenvalue of the regularizing extension.  The matrix is
+    ``-np.linalg.inv(R + Mhat(z))`` bit for bit, and
+    ``triplet.invert_or_refuse_poles`` decides the pole from that one
+    inverse, with an SVD only where its certificate does not clear
+    R + Mhat(z).  A real z > 0 lies on the continuous spectrum; the
+    closed-form backends (one-dim, scaling and point interactions) return
+    the boundary value M(z + i0) from the upper half-plane there.  A z or
+    R + Mhat(z) that is not finite and a Mhat(z) of the wrong shape raise
+    ``ValueError``.  When the model carries a closed form, the evaluation
+    reports its discrepancy on access.
     """
     r = np.asarray(getattr(reg, "matrix", reg), dtype=complex)
     if r.shape != (model.n, model.n):
@@ -196,10 +192,7 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
         m_hat = np.atleast_2d(np.asarray(m_hat, dtype=complex))  # a scalar for n = 1
         if m_hat.shape != (model.n, model.n):
             raise ValueError("Mhat(z) has the wrong dimension")
-    a = r + m_hat
-    if not np.isfinite(a).all():  # R's finiteness and Mhat's too
-        raise ValueError("matrix entries must be finite")
-    m = _invert_or_pole(a, "R + Mhat(z)")
+    m = invert_or_refuse_poles(r + m_hat, "R + Mhat(z)")  # checks finiteness
     np.negative(m, out=m)
     m.setflags(write=False)  # fresh: frozen in place, stored without a copy
     return WeylEvaluation._fresh(z, m, model.closed_form_M)
@@ -269,13 +262,15 @@ def krein_correction(m_at_z, coupling) -> np.ndarray:
     """Finite-rank kernel (B - M(z))^-1 of the resolvent difference.
 
     Singular B - M(z) raises ``PoleError``, signaling that z belongs to
-    the spectrum of the realization.
+    the spectrum of the realization; the pole rule and the inverse are
+    those of ``weyl_m`` (``triplet.invert_or_refuse_poles``).  A B - M(z)
+    that overflows raises ``ValueError``.
     """
     m = as_matrix(m_at_z)
     b = as_matrix(coupling)
     if b.shape != m.shape:
         raise ValueError("B and M(z) dimensions disagree")
-    return _invert_or_pole(b - m, "B - M(z)")
+    return invert_or_refuse_poles(b - m, "B - M(z)")
 
 
 # A root u of the search polynomial this near the real axis is real: in

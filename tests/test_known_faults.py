@@ -74,6 +74,36 @@ def test_padic_weyl_m_keeps_its_accuracy_at_large_z(padic, padic_r, z):
     assert abs(got - exact) <= 1e-12 * abs(exact), abs(got - exact) / abs(exact)
 
 
+# At |x| ~ 1e3 to 1e4 the cancellation of item 2 already moves the
+# eigenvalues of the p-adic model.  The closed Weyl series is 1.8e-16 off a
+# 40-digit mpmath sum at X0; the root below is B = Re M(X0).
+PADIC_5_X0 = -7284.9062957481565
+
+
+@pytest.fixture(scope="module")
+def padic_5():
+    model = sx.build_padic_model(5, 2.5)
+    r = sx.solve_homogeneous_R(model.family, model.gram).matrix
+    return model.spectral, r, padic_closed_form_m(5, 2.5)(PADIC_5_X0)[0, 0]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: "
+                   "the p-adic (5, 5/2) Mhat w (overlap + w E(x)) is 2.1e-10 off at X0")
+def test_padic_weyl_m_is_accurate_at_moderate_negative_x(padic_5):
+    spectral, r, exact = padic_5
+    got = sx.weyl_m(spectral, r, PADIC_5_X0).matrix[0, 0]
+    assert abs(got - exact) <= 1e-12 * abs(exact), abs(got - exact) / abs(exact)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: "
+                   "the p-adic (5, 5/2) root planted at X0 comes out 3.8e-10 off")
+def test_padic_eigenvalue_is_accurate_at_moderate_negative_x(padic_5):
+    spectral, r, exact = padic_5
+    roots = sx.find_negative_eigenvalues(spectral, r, [[exact.real]], (-1e4, -1e-4))
+    assert len(roots) == 1, roots
+    assert abs(roots[0] - PADIC_5_X0) <= 1e-12 * abs(PADIC_5_X0), roots
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 14: nonneg decides every model by "
                    "the Loewner test of orthonormal channels, and prints false here")

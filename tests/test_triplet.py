@@ -148,11 +148,14 @@ def test_wrapped_arrays_are_read_only():
 
 STACK_KINDS = [(n, cplx, herm) for n in (2, 3, 4) for cplx in (False, True)
                for herm in (False, True)]
+ONE_MATRIX_KINDS = [(1, cplx, herm) for cplx in (False, True)
+                    for herm in (False, True)] + STACK_KINDS
 
 
 def _seeded_stack(n, cplx, herm, count=200):
     """Matrices with sigma_max from 1e-8 to 1e8 and sigma_min from 1e-17 to
-    1e-9 times max(1, sigma_max), around the pole threshold 1e-14."""
+    1e-9 times max(1, sigma_max), around the pole threshold 1e-14; for
+    n = 1, where sigma_min = sigma_max, moduli from 1e-17 to 1e-9."""
     rng = np.random.default_rng([n, cplx, herm])
 
     def unitary():
@@ -163,10 +166,13 @@ def _seeded_stack(n, cplx, herm, count=200):
 
     u = unitary()
     v = u if herm else unitary()
-    top = 10.0 ** rng.uniform(-8.0, 8.0, count)
-    low = np.minimum(top, 10.0 ** rng.uniform(-17.0, -9.0, count) * np.maximum(1.0, top))
-    inner = np.exp(rng.uniform(np.log(low)[:, None], np.log(top)[:, None], (count, n - 2)))
-    s = np.concatenate([top[:, None], inner, low[:, None]], axis=1)
+    if n == 1:
+        s = 10.0 ** rng.uniform(-17.0, -9.0, (count, 1))
+    else:
+        top = 10.0 ** rng.uniform(-8.0, 8.0, count)
+        low = np.minimum(top, 10.0 ** rng.uniform(-17.0, -9.0, count) * np.maximum(1.0, top))
+        inner = np.exp(rng.uniform(np.log(low)[:, None], np.log(top)[:, None], (count, n - 2)))
+        s = np.concatenate([top[:, None], inner, low[:, None]], axis=1)
     if herm:
         s = s * rng.choice([-1.0, 1.0], s.shape)  # eigenvalues of either sign
     return (u * s[:, None, :]) @ v.conj().swapaxes(-2, -1)
@@ -220,6 +226,8 @@ def test_certificate_clears_well_separated_matrices_at_every_scale(n, cplx, herm
     clear = svals[:, -1] > 1e-11 * np.maximum(1.0, svals[:, 0])
     assert (svals[clear, 0] < 1.0).any() and (svals[clear, 0] > 1.0).any()
     invert_or_refuse_poles(stack[clear], "A")
+    for mat in stack[clear]:  # and one matrix at a time
+        invert_or_refuse_poles(mat, "A")
     assert svd_rule_calls == []
 
 
@@ -256,3 +264,79 @@ def test_uncertifiable_norms_go_to_the_svd_rule_without_warning(svd_rule_calls):
         got = invert_or_refuse_poles(stack, "A")
     assert got.tobytes() == np.linalg.inv(stack).tobytes()
     assert svd_rule_calls == [(1,)]
+
+
+# The same rule on one matrix (n, n), the form of the scalar weyl_m and
+# krein_correction: norms summed in Python floats, one np.linalg.inv.
+
+@pytest.mark.parametrize("n, cplx, herm", ONE_MATRIX_KINDS)
+def test_certified_pole_rule_on_one_matrix_decides_as_the_svd_rule(n, cplx, herm,
+                                                                   svd_rule_calls):
+    stack = _seeded_stack(n, cplx, herm)
+    refused = [_refused(mat) for mat in stack]
+    assert refused == [_refused(mat[None]) for mat in stack]
+    svd_rule_calls.clear()
+    for mat, refuse in zip(stack, refused):
+        if refuse:
+            with pytest.raises(PoleError):
+                invert_or_refuse_poles(mat, "A")
+        else:
+            got = invert_or_refuse_poles(mat, "A")
+            assert got.tobytes() == np.linalg.inv(mat).tobytes()
+    # every outcome occurs: refused, passed by the SVD rule, certified
+    assert 0 < sum(refused) < len(svd_rule_calls) < len(stack)
+    assert set(svd_rule_calls) == {()}
+
+
+@pytest.mark.parametrize("mat, pole", [
+    (np.diag([1.0, 1e-310]), True),  # the inverse overflows
+    (np.array([[1e-310]]), True),
+    (1e-200 * np.array([[2.0, 1.0], [1.0, 3.0]]), True),  # ||A||_F^2 underflows
+    (1e200 * np.array([[2.0, 1.0], [1.0, 3.0]]), False),  # ||A||_F^2 overflows
+    (np.array([[1e200]]), False),
+], ids=["inverse overflows", "1x1 inverse overflows", "norm underflows",
+        "norm overflows", "1x1 norm overflows"])
+def test_uncertifiable_single_matrix_goes_to_the_svd_rule_without_warning(mat, pole,
+                                                                         svd_rule_calls):
+    mat = mat.astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if pole:
+            with pytest.raises(PoleError):
+                invert_or_refuse_poles(mat, "A")
+        else:
+            assert invert_or_refuse_poles(mat, "A").tobytes() == np.linalg.inv(mat).tobytes()
+    assert svd_rule_calls == [()]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("n", [1, 3])
+def test_single_matrix_that_is_not_finite_is_refused_before_the_inverse(bad, n, monkeypatch):
+    mat = np.eye(n, dtype=complex)
+    mat[-1, 0] = bad
+    monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("inverted"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            invert_or_refuse_poles(mat, "A")
+
+
+@pytest.mark.parametrize("singular", [[[1.0, 2.0], [2.0, 4.0]], [[0.0]]])
+def test_exactly_singular_matrix_is_a_pole_through_weyl_m_and_krein(singular, monkeypatch):
+    singular = np.array(singular, dtype=complex)
+    n = len(singular)
+    model = sx.SpectralModel(n=n, m_hat=lambda z: singular.copy(), overlap=np.eye(n),
+                             psi_in_Hminus1=(True,) * n)
+    # with the SVD rule passing everything, the refusal must come from the
+    # LinAlgError of the inverse, not escape as one
+    monkeypatch.setattr(triplet, "refuse_stacked_poles", lambda mats, what: None)
+    with pytest.raises(PoleError, match="R \\+ Mhat"):
+        sx.weyl_m(model, np.zeros((n, n)), -1.0)
+    with pytest.raises(PoleError, match="B - M"):
+        sx.krein_correction(np.zeros((n, n)), singular)
+
+
+def test_overflowing_b_minus_m_is_refused_by_krein_correction():
+    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, from B - M
+        with pytest.raises(ValueError, match="finite"):
+            sx.krein_correction([[-1e308]], [[1e308]])

@@ -54,6 +54,23 @@ def test_weyl_m_is_numpy_inverse_bit_for_bit(name):
         assert got.tobytes() == want.tobytes(), (z, got, want)
 
 
+@pytest.mark.parametrize("name", BACKENDS)
+def test_weyl_m_makes_one_inverse_and_no_svd_or_finiteness_pass(name, monkeypatch):
+    # the pole rule is certified by the inverse: at these points no
+    # R + Mhat(z) is near singular, so no SVD runs, and the finite norm of
+    # R + Mhat(z) is its finiteness check
+    spectral, r = BACKENDS[name].spectral, _r(name)
+    calls = []
+    for where, fn in ((np.linalg, "inv"), (np.linalg, "svd"), (np, "isfinite")):
+        real = getattr(where, fn)
+        monkeypatch.setattr(where, fn,
+                            lambda *a, fn=fn, real=real, **k: calls.append(fn) or real(*a, **k))
+    for z in _z_points(sum(map(ord, name))):
+        calls.clear()
+        sx.weyl_m(spectral, r, z)
+        assert calls == ["inv"], (z, calls)
+
+
 @pytest.mark.parametrize("name", ["scaling 3/2", "one-dim"])
 def test_stored_matrix_is_read_only(name):
     ev = sx.weyl_m(BACKENDS[name].spectral, _r(name), -2.0)
