@@ -78,7 +78,8 @@ def ladder_ratio(text: str) -> float:
 
 
 def grid_size(text: str) -> int:
-    """argparse type of ``--num``: at least the 2 ends of the scan."""
+    """argparse type of ``--num``: an integer of at least 2, accepted and
+    echoed in the ``spectrum`` envelope; no search uses a grid."""
     if int(text) >= 2:
         return int(text)
     raise argparse.ArgumentTypeError(f"must be at least 2, got {text!r}")
@@ -175,7 +176,7 @@ def _cmd_spectrum(args) -> int:
     coupling = decode_matrix(_load_json_arg(args.B))
     interval = _parse_interval(args.interval)
     roots = find_negative_eigenvalues(spec.spectral, reg, coupling, interval,
-                                      tol=args.tol, num=args.num)
+                                      tol=args.tol)
     _emit("spectrum", {"kind": spec.kind, "params": dict(spec.params),
                        "interval": list(interval), "num": args.num,
                        "tol": args.tol},
@@ -314,12 +315,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--B", required=True, help="coupling matrix")
     sub.add_argument("--interval", required=True, help="'lo,hi' below 0")
     sub.add_argument("--num", type=grid_size, default=2000,
-                     help="scan grid size (default 2000); only a search of "
-                          "several channels whose exact root count disagrees "
-                          "scans: the point (d = 1, 3), scaling and one-dim "
-                          "models take the exact route, and one channel "
-                          "without it (p-adic, point d = 2) brackets its "
-                          "one root")
+                     help="an integer >= 2 (default 2000), accepted and "
+                          "echoed in the envelope; no search uses a grid: the "
+                          "point (d = 1, 3), scaling and one-dim models take "
+                          "the exact route, and one channel without it "
+                          "(p-adic, point d = 2) brackets its one root")
     sub = command("nonneg", _cmd_nonneg,
                   "nonnegativity criterion for a realization", [solver_flags])
     sub.add_argument("--B", required=True, help="coupling matrix")

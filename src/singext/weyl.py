@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PoleError
+from .errors import ConvergenceError, DimensionMismatchError, PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
 from .triplet import (HERMITICITY_RTOL, as_matrix, frozen_matrix,
                       hermitian_within, invert_or_refuse_poles,
@@ -106,7 +106,7 @@ class SpectralModel:
         then finds its roots from one small eigenproblem.  It must
         continue analytically to ``m_hat`` off the axis, u = (-z)^q on
         the principal branch.  Without it a one-channel search brackets
-        its one root, and a search of several channels scans.
+        its one root, and a search of several channels is refused.
     """
 
     n: int
@@ -270,7 +270,9 @@ def krein_correction(m_at_z, coupling) -> np.ndarray:
     b = as_matrix(coupling)
     if b.shape != m.shape:
         raise ValueError("B and M(z) dimensions disagree")
-    return invert_or_refuse_poles(b - m, "B - M(z)")
+    with np.errstate(over="ignore"):  # an overflow is refused as not finite
+        a = b - m
+    return invert_or_refuse_poles(a, "B - M(z)")
 
 
 # A root u of the search polynomial this near the real axis is real: in
@@ -280,55 +282,51 @@ EXACT_IMAG_RTOL = 1e-6
 
 def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
                               search_interval: tuple[float, float],
-                              tol: float = DEFAULT_TOL,
-                              num: int = 2000) -> list[float]:
-    """Roots of det(B - M(x)) on an interval of the negative axis.
+                              tol: float = DEFAULT_TOL) -> list[float]:
+    """Roots of det(B - M(x)) on a closed interval of the negative axis.
 
-    Returns each distinct root once, in ascending order.  B must be n x n
-    for the model's n channels (``DimensionMismatchError`` otherwise; it
-    is never broadcast against M(x)), and Hermitian: the real-axis
-    eigenvalue search is meaningful for self-adjoint realizations.
+    Returns each distinct root once, in ascending order; a root at an end
+    of the interval is returned as that end.  B must be n x n for the
+    model's n channels (``DimensionMismatchError`` otherwise; it is never
+    broadcast against M(x)), and Hermitian: the real-axis eigenvalue
+    search is meaningful for self-adjoint realizations.
 
-    It takes one of three routes.
+    It takes one of two routes.
 
     1. Exact, where the model carries ``negative_axis`` (Mhat(x) =
        u^-d sum_k C_k u^k, u = (-x)^q): with K(x) = R + Mhat(x),
-       det(B - M(x)) = det(I + B K(x)) / det K(x), so the roots are the
+       det(B - M(x)) = det(I + B K(x)) / det K(x).  So the roots are the
        real u in the image of the interval where the matrix polynomial
-       u^d (I + B R) + sum_k B C_k u^k is singular.  One
-       ``np.linalg.eigvals`` of its block companion matrix, shifted to the
-       image of a point on the imaginary axis where the polynomial is
-       invertible, finds them, each as often as its multiplicity; roots
-       closer than ``tol`` are merged.  Two scalar ``weyl_m`` calls
-       certify their number: on a pole-free interval B - M(x) is Hermitian
-       and strictly decreasing, so its count of negative eigenvalues grows
-       from ``lo`` to ``hi`` by exactly the number of roots, multiplicity
-       included.  A count that disagrees (a pole of M in the interval, a
-       root at an end) or is undecided (a pole of M at an end) goes on to
-       route 2 or 3.
+       u^d (I + B R) + sum_k B C_k u^k is singular, and the poles of M
+       those where u^d R + sum_k C_k u^k is.  One ``np.linalg.eigvals``
+       of a block companion matrix finds either set, each point as often
+       as its multiplicity (``_real_singular_points``); roots closer than
+       ``tol`` are merged.  Two scalar ``weyl_m`` calls certify their
+       number.  B - M(x) is Hermitian and strictly decreasing between the
+       poles of M, and at a pole one of its eigenvalues leaves through
+       -inf and comes back through +inf.  So its count of negative
+       eigenvalues grows from ``lo`` to ``hi`` by the number of roots in
+       [lo, hi] less the number of poles, multiplicity included.  An
+       eigenvalue that is zero to rounding counts as negative at ``hi``
+       and not at ``lo``, and its root is that end.  The poles are found
+       only where the roots alone disagree with the count.
     2. One bracketed root, for one channel (n = 1) without the datum
-       (p-adic, point d = 2) or where route 1's count disagrees.  Here
-       det(B - M(x)) = g(x) / K(x) with g(x) = 1 + B K(x), real and
-       monotone on the negative axis, since Mhat is strictly increasing
-       there (A0 >= 0).  So a rank-one perturbation has at most one
-       negative eigenvalue, and a pole of M (K = 0, g = 1) is no event.
-       The signs of g at ``lo`` and ``hi`` decide between no root and
-       one; a g of 0 at an end makes that end the root.  A regula falsi
-       on g from ``model.m_hat`` (``_bracketed_root``), with no inversion,
-       closes the bracket to 2 ulp or stops where g is 0: a relative
-       stop, which ``tol`` does not set.  It takes about 10 ``m_hat``
-       calls and no ``weyl_m`` call.
-    3. The scan, for n >= 2 where route 1's count disagrees: ``num`` >= 2
-       grid points for sign changes of the (real) determinant, each
-       bracket bisected to width ``tol`` > 0.  A bracket whose refined
-       midpoint does not reduce the determinant magnitude (a pole crossing
-       rather than a root) is dropped, and a root of even multiplicity
-       makes no sign change and is missed.  The scan is one
-       ``weyl_m_grid`` call; the bisection and the final check of each
-       bracket call scalar ``weyl_m``, about log2 of the cell width over
-       ``tol`` times per root.
+       (p-adic, point d = 2), or where route 1's count disagrees or meets
+       a pole of M at an end.  Here det(B - M(x)) = g(x) / K(x) with
+       g(x) = 1 + B K(x), real and monotone on the negative axis, since
+       Mhat is strictly increasing there (A0 >= 0).  So a rank-one
+       perturbation has at most one negative eigenvalue, and a pole of M
+       (K = 0, g = 1) is no event.  The signs of g at ``lo`` and ``hi``
+       decide between no root and one; a g of 0 at an end makes that end
+       the root.  A regula falsi on g from ``model.m_hat``
+       (``_bracketed_root``), with no inversion, closes the bracket to
+       2 ulp or stops where g is 0: a relative stop, which ``tol`` does
+       not set.  It takes about 10 ``m_hat`` calls and no ``weyl_m`` call.
 
-    ``tol`` and ``num`` are checked on every route.  The backend's errors
+    Several channels (n >= 2) have no other route: a pole of M at an end
+    raises ``PoleError``, a count that still disagrees
+    ``ConvergenceError``, and a model without the datum ``ValueError``.
+    ``tol`` is checked on every route.  The backend's errors
     (``ConvergenceError``, ``PoleError``) propagate.
     """
     b = as_matrix(coupling)
@@ -340,72 +338,98 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not -math.inf < lo < hi < 0:
         raise ValueError("search interval must satisfy lo < hi < 0")
-    if num < 2:
-        raise ValueError(f"need num >= 2, got {num!r}")
     check_tol(tol)
     if model.negative_axis is not None:
-        roots = _exact_roots(model, reg, b, lo, hi, tol)
+        try:
+            roots = _exact_roots(model, reg, b, lo, hi, tol)
+        except PoleError:  # a pole of M at an end
+            if model.n > 1:
+                raise
+            roots = None
         if roots is not None:
             return roots
-    if model.n == 1:
-        return _one_channel_root(model, reg, float(b[0, 0].real), lo, hi)
-    return _scan_roots(model, reg, b, lo, hi, tol, num)
+        if model.n > 1:
+            raise ConvergenceError(
+                "the roots of det(B - M) less the poles of M disagree with "
+                "the inertia count of B - M at the ends of the interval")
+    elif model.n > 1:
+        raise ValueError("a search of several channels needs the model's "
+                         "negative_axis datum")
+    return _one_channel_root(model, reg, float(b[0, 0].real), lo, hi)
 
 
-def _negative_count(a: np.ndarray) -> int | None:
-    """Negative eigenvalues of a Hermitian matrix; None if one is zero to
-    rounding, where the count is not decided."""
-    eigs = np.linalg.eigvalsh(a)
-    size = np.abs(eigs)
-    if within(float(size.min()), HERMITICITY_RTOL, float(size.max())):
-        return None
-    return int((eigs < 0.0).sum())
+def _inertia(a: np.ndarray, zero_is_negative: bool) -> tuple[int, int]:
+    """The negative eigenvalues of a Hermitian matrix, those zero to
+    rounding counted as negative or not, and the number of those."""
+    eigs = np.linalg.eigvalsh(a).tolist()
+    scale = max(map(abs, eigs))
+    zero = [within(abs(e), HERMITICITY_RTOL, scale) for e in eigs]
+    zeros = sum(zero)
+    negatives = sum(e < 0.0 and not z for e, z in zip(eigs, zero))
+    return negatives + (zeros if zero_is_negative else 0), zeros
 
 
 def _exact_roots(model: SpectralModel, reg, b: np.ndarray, lo: float, hi: float,
                  tol: float) -> list[float] | None:
     """The roots from the model's ``negative_axis`` datum, or None where
-    their number disagrees with the inertia count or a pole of M at an
-    end leaves that count undecided."""
+    their number less that of the poles of M disagrees with the inertia
+    count.  A pole of M at an end raises ``PoleError``."""
+    above, zeros_hi = _inertia(b - weyl_m(model, reg, hi).matrix, True)
+    below, zeros_lo = _inertia(b - weyl_m(model, reg, lo).matrix, False)
+    datum, r = model.negative_axis, as_matrix(reg)
     try:
-        above = _negative_count(b - weyl_m(model, reg, hi).matrix)
-        below = _negative_count(b - weyl_m(model, reg, lo).matrix)
-    except PoleError:  # a pole of M at an end leaves the count undecided
-        return None
-    if above is None or below is None:
-        return None
-    datum, n = model.negative_axis, model.n
-    deg = max(datum.d, len(datum.coeffs) - 1)
-    poly = np.zeros((deg + 1, n, n), dtype=complex)
-    poly[:len(datum.coeffs)] = b @ datum.coeffs
-    poly[datum.d] += np.eye(n) + b @ as_matrix(reg)
-    # P(sigma + 1/mu) mu^deg = sum_j T_j mu^(deg-j) with T_j the Taylor
-    # coefficients of P at sigma; T_0 = P(sigma) is invertible, since
-    # sigma is u at z = -i sqrt(lo hi), off the spectrum.
-    sigma = (1j * math.sqrt(lo * hi)) ** datum.q
-    taylor = [sum(math.comb(k, j) * sigma ** (k - j) * poly[k] for k in range(j, deg + 1))
-              for j in range(deg + 1)]
-    companion = np.eye(deg * n, k=-n, dtype=complex)
-    try:
-        companion[:n] = -np.linalg.solve(taylor[0], np.concatenate(taylor[1:], axis=1))
-        mu = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError:  # a singular P(sigma), or entries not finite
-        return None
-    mu = mu[mu != 0.0]  # a root at infinity
-    with np.errstate(over="ignore"):
-        u = sigma + 1.0 / mu
-    u_lo, u_hi = sorted(((-lo) ** datum.q, (-hi) ** datum.q))
-    real = u.real[(np.abs(u.imag) <= EXACT_IMAG_RTOL * np.abs(u))
-                  & (u.real > u_lo) & (u.real < u_hi)]
-    if len(real) != above - below:
+        found = _real_singular_points(datum, b @ datum.coeffs,
+                                      np.eye(model.n) + b @ r, lo, hi)
+        # the roots nearest an end where B - M has zero eigenvalues are that end
+        for end, zeros in ((lo, zeros_lo), (hi, zeros_hi)):
+            for i in sorted(range(len(found)), key=lambda i: abs(found[i] - end))[:zeros]:
+                if abs(found[i] - end) < tol:
+                    found[i] = end
+        roots = sorted(x for x in found if lo <= x <= hi)
+        if len(roots) != above - below:
+            poles = [x for x in _real_singular_points(datum, datum.coeffs, r, lo, hi)
+                     if lo < x < hi]
+            if len(roots) - len(poles) != above - below:
+                return None
+    except np.linalg.LinAlgError:  # a singular shifted polynomial, or entries not finite
         return None
     clusters: list[list[float]] = []
-    for x in sorted((-(real ** (1.0 / datum.q))).tolist()):
+    for x in roots:
         if clusters and x - clusters[-1][-1] < tol:
             clusters[-1].append(x)
         else:
             clusters.append([x])
-    return [sum(c) / len(c) for c in clusters]
+    return [lo if lo in c else hi if hi in c else sum(c) / len(c) for c in clusters]
+
+
+def _real_singular_points(datum: NegativeAxisPolynomial, a: np.ndarray,
+                          lead: np.ndarray, lo: float, hi: float) -> list[float]:
+    """The x < 0 at which u^d L + sum_k A_k u^k is singular, u = (-x)^q,
+    each as often as its multiplicity, in ascending order.
+
+    ``a`` stacks A_0..A_D and ``lead`` is L.  The points are the real u
+    among the eigenvalues of one block companion matrix, shifted to the u
+    of z = -i sqrt(lo hi): off the real axis, where the polynomials of the
+    search are invertible.
+    """
+    n = lead.shape[0]
+    deg = max(datum.d, len(a) - 1)
+    poly = np.zeros((deg + 1, n, n), dtype=complex)
+    poly[:len(a)] = a
+    poly[datum.d] += lead
+    # P(sigma + 1/mu) mu^deg = sum_j T_j mu^(deg-j) with T_j the Taylor
+    # coefficients of P at sigma; T_0 = P(sigma) is invertible
+    sigma = (1j * math.sqrt(lo * hi)) ** datum.q
+    taylor = [sum(math.comb(k, j) * sigma ** (k - j) * poly[k] for k in range(j, deg + 1))
+              for j in range(deg + 1)]
+    companion = np.eye(deg * n, k=-n, dtype=complex)
+    companion[:n] = -np.linalg.solve(taylor[0], np.concatenate(taylor[1:], axis=1))
+    mu = np.linalg.eigvals(companion)
+    mu = mu[mu != 0.0]  # a root at infinity
+    with np.errstate(over="ignore"):
+        u = sigma + 1.0 / mu
+        real = u.real[(np.abs(u.imag) <= EXACT_IMAG_RTOL * np.abs(u)) & (u.real > 0.0)]
+        return sorted((-(real ** (1.0 / datum.q))).tolist())
 
 
 def _one_channel_root(model: SpectralModel, reg, b: float, lo: float,
@@ -501,41 +525,3 @@ def _bracketed_root(g: Callable[[float], float], a: float, b: float,
         if _log_width(a, b) <= 0.5 * width:
             steps, width = 0, _log_width(a, b)
     return a if abs(g_a) < abs(g_b) else b
-
-
-def _scan_roots(model: SpectralModel, reg, b: np.ndarray, lo: float, hi: float,
-                tol: float, num: int) -> list[float]:
-    """Sign changes of det(B - M(x)) on ``num`` grid points, bisected."""
-
-    def det_val(x: float) -> float:
-        d = complex(np.linalg.det(b - weyl_m(model, reg, x).matrix))
-        return d.real
-
-    xs = np.linspace(lo, hi, int(num))
-    vals = np.linalg.det(b - weyl_m_grid(model, reg, xs)).real.tolist()
-    roots: list[float] = []
-    for k in range(len(xs) - 1):
-        f_a, f_b = vals[k], vals[k + 1]
-        if f_a == 0.0:
-            roots.append(float(xs[k]))
-            continue
-        if f_a * f_b >= 0.0:
-            continue
-        a, bb = float(xs[k]), float(xs[k + 1])
-        fa = f_a
-        while bb - a > tol:
-            mid = 0.5 * (a + bb)
-            fm = det_val(mid)
-            if fm == 0.0:
-                a = bb = mid
-                break
-            if fa * fm < 0:
-                bb = mid
-            else:
-                a, fa = mid, fm
-        x_star = 0.5 * (a + bb)
-        if abs(det_val(x_star)) <= max(abs(f_a), abs(f_b)):
-            roots.append(x_star)
-    if vals and vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots

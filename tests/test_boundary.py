@@ -26,7 +26,7 @@ ENTRY_POINTS = {
     "weyl_m_grid (R)": lambda m, spec, r: sx.weyl_m_grid(spec.spectral, m, [0.5j, -1.0]),
     "krein_correction (B)": lambda m, spec, r: sx.krein_correction([[1.0j]], m),
     "find_negative_eigenvalues (B)": lambda m, spec, r: sx.find_negative_eigenvalues(
-        spec.spectral, r, m, (-3.0, -0.3), num=4),
+        spec.spectral, r, m, (-3.0, -0.3)),
     "nonnegative_grid (B)": lambda m, spec, r: sx.nonnegative_grid(m[None], r),
     "nonnegative_grid (R)": lambda m, spec, r: sx.nonnegative_grid([[[-1.0]]], m),
     "s_matrix": lambda m, spec, r: sx.s_matrix(m, 0.4),

@@ -4,18 +4,23 @@ On the negative axis the point (d = 1, 3), scaling and one-dim backends
 give Mhat(x) as a polynomial in u = (-x)^q divided by u^d
 (``SpectralModel.negative_axis``), so ``find_negative_eigenvalues`` takes
 the roots of det(B - M(x)) from one small eigenproblem and certifies
-their number by the inertia of B - M at the ends of the interval.  The
-scan stays the oracle: the two routes agree wherever the scan can see a
-root, and the exact route finds more only at roots of even multiplicity.
+their number by the inertia of B - M at the ends of the interval, less
+the poles of M between them.  The scalar scan of ``test_weyl_grid`` stays
+the oracle: the two agree wherever the scan can see a root, and the
+exact route finds more only at roots of even multiplicity.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import singext as sx
 from singext import models, weyl
+from singext.errors import ConvergenceError
 from singext.symmetry import DEFAULT_TOL
 from singext.weyl import NegativeAxisPolynomial
+from test_weyl_grid import _scalar_scan_search
 
 NON_ORTHONORMAL = np.array([[1.2, 0.3, -0.1], [0.3, 0.9, 0.2], [-0.1, 0.2, 0.7]])
 
@@ -57,13 +62,12 @@ def test_logarithm_and_series_backends_carry_no_datum(build):
 
 
 def _search(spec, r, b, monkeypatch):
-    """The search's roots, and whether it scanned."""
-    scans = []
-    scan = weyl._scan_roots
-    monkeypatch.setattr(weyl, "_scan_roots", lambda *a: scans.append(a) or scan(*a))
+    """The search's roots; it must make no ``weyl_m_grid`` call."""
+    grids = []
+    monkeypatch.setattr(weyl, "weyl_m_grid", lambda *a: grids.append(a))
     roots = sx.find_negative_eigenvalues(spec.spectral, r, b, INTERVAL)
-    monkeypatch.setattr(weyl, "_scan_roots", scan)
-    return roots, bool(scans)
+    assert grids == []
+    return roots
 
 
 def _seeded_hermitian(rng, n, spec, r):
@@ -92,23 +96,19 @@ def test_exact_route_agrees_with_the_scan(name, shifted, monkeypatch):
     if shifted:
         s = rng.normal(size=(n, n))
         r = r + 0.3 * (s + s.T) / 2
-    exact_routes = 0
     for _ in range(6):
         b = _seeded_hermitian(rng, n, spec, r)
-        got, scanned = _search(spec, r, b, monkeypatch)
-        want = weyl._scan_roots(spec.spectral, r, b, *INTERVAL, DEFAULT_TOL, 2000)
-        exact_routes += not scanned
+        got = _search(spec, r, b, monkeypatch)
+        want = _scalar_scan_search(spec.spectral, r, b, INTERVAL)
         assert got == sorted(got)
         for x in want:
             assert min(abs(np.array(got) - x)) <= DEFAULT_TOL, (x, got)
         for x in got:
             if min(abs(np.array(want) - x), default=np.inf) > DEFAULT_TOL:
                 assert _multiplicity(spec, r, b, x) % 2 == 0, (x, want)
-    if not shifted:  # M is pole-free on the negative axis: the count holds
-        assert exact_routes == 6
 
 
-def test_broken_datum_falls_back_to_the_scan(monkeypatch):
+def test_broken_datum_on_two_channels_raises_convergence_error(monkeypatch):
     spec = sx.build_scaling_invariant_3d(1.5, n=2)
     r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix
     b = np.diag([sx.weyl_m(spec.spectral, r, x).matrix[k, k].real
@@ -121,23 +121,19 @@ def test_broken_datum_falls_back_to_the_scan(monkeypatch):
 
     monkeypatch.setattr(models, "radial_negative_axis", broken)
     spec = sx.build_scaling_invariant_3d(1.5, n=2)
-    roots, scanned = _search(spec, r, b, monkeypatch)
-    assert scanned
-    assert roots == weyl._scan_roots(spec.spectral, r, b.astype(complex), *INTERVAL,
-                                     DEFAULT_TOL, 2000)
-    np.testing.assert_allclose(roots, [-1.9, -1.1], rtol=0.0, atol=1e-8)
+    # the broken polynomial's roots disagree with the inertia count
+    with pytest.raises(ConvergenceError, match="inertia count"):
+        _search(spec, r, b, monkeypatch)
 
 
 def test_a_root_at_an_end_of_the_interval_is_found_without_the_scan(monkeypatch):
-    # B - M vanishes at the end, so the inertia count there is undecided;
-    # the one channel's bracketed route finds the end as the root
+    # B - M vanishes at the end to rounding: the count takes the interval
+    # as closed, and the exact route returns the end as the root
     spec = sx.build_point_interaction(3)
     r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix
     for end in INTERVAL:
         b = sx.weyl_m(spec.spectral, r, end).matrix.real
-        roots, scanned = _search(spec, r, b, monkeypatch)
-        assert not scanned
-        assert roots == [pytest.approx(end, rel=1e-13, abs=0.0)]
+        assert _search(spec, r, b, monkeypatch) == [end]
 
 
 @pytest.mark.parametrize("q, d, coeffs", [
@@ -154,3 +150,79 @@ def test_datum_must_match_the_channel_count():
     with pytest.raises(ValueError, match="channel count"):
         weyl.SpectralModel(1, lambda z: np.eye(1), np.eye(1), (True,),
                            negative_axis=NegativeAxisPolynomial(0.5, 0, np.ones((2, 2, 2))))
+
+
+# ---------------------------------------------------------------------------
+# Poles of M in the interval, roots at its ends, and the refusals
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("b00, want", [(0.0, [-1.0003]), (2.0, [-1.5625, -1.0003])],
+                         ids=["B00 = 0", "B00 = 2"])
+def test_root_next_to_a_pole_of_m(b00, want):
+    # R[0, 0] = -Mhat(-1)[0, 0] puts a pole of M at -1; channel 1 has its
+    # root 3e-4 away, inside the pole's cell of a 2000-point scan, which
+    # returned [] and [-1.5625]
+    spec = sx.build_scaling_invariant_3d(1.5, n=2)
+    r0 = sx.solve_homogeneous_R(spec.family, spec.gram).matrix
+    r = np.diag([-spec.spectral.m_hat(-1.0)[0, 0].real, r0[1, 1].real])
+    b = np.diag([b00, sx.weyl_m(spec.spectral, r, -1.0003).matrix[1, 1].real])
+    with pytest.raises(sx.PoleError):
+        sx.weyl_m(spec.spectral, r, -1.0)
+    got = sx.find_negative_eigenvalues(spec.spectral, r, b, (-3.0, -0.3))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ulps", [-4, 0, 4])
+@pytest.mark.parametrize("end", INTERVAL)
+@pytest.mark.parametrize("name", ["one_dim", "scaling_1.5_n2"])
+def test_a_root_at_an_end_of_two_channels_is_that_end(name, end, ulps, monkeypatch):
+    # channel 0's root lies a few ulp from the end, where B - M is zero
+    # to rounding; the scan returned it 4e-11 inside or missed it
+    spec = MODELS[name]()
+    r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix
+    m = lambda x: sx.weyl_m(spec.spectral, r, x).matrix.real
+    b = np.diag([m(end + ulps * np.spacing(-end))[0, 0], m(-1.1)[1, 1]])
+    inner = pytest.approx(-1.1, rel=0.0, abs=1e-12)
+    assert _search(spec, r, b, monkeypatch) == ([end, inner] if end < -1.1 else [inner, end])
+
+
+def _negatives(a):
+    return int((np.linalg.eigvalsh(a) < 0.0).sum())
+
+
+@pytest.mark.parametrize("interval", [(-3.0, -0.3), (-3.0, -0.1)])
+def test_shifted_r_sweep_is_certified(interval):
+    # R shifted off the homogeneous one puts poles of M in about one
+    # search in four.  The scan dropped a root next to a pole
+    # ((-3, -0.3), scaling 1.3, seed 72) and hit a pole at a grid point
+    # ((-3, -0.1), scaling 1.3, seed 149).
+    lo, hi = interval
+    for name in ("one_dim", "scaling_1.5_n2", "scaling_1.3_gram3", "point_d3"):
+        spec = MODELS[name]()
+        n = spec.n
+        r0 = sx.solve_homogeneous_R(spec.family, spec.gram).matrix
+        for seed in range(200):
+            rng = np.random.default_rng([18, seed, n])
+            s = rng.normal(size=(n, n))
+            r = r0 + 0.5 * (s + s.T) / 2
+            s = rng.normal(size=(n, n))
+            b = (s + s.T) / 2
+            got = sx.find_negative_eigenvalues(spec.spectral, r, b, interval)
+            # an independent count: K = R + Mhat increases on the negative
+            # axis, so its negative eigenvalues fall by the number of poles
+            k = [r + spec.spectral.m_hat(complex(x)).real for x in interval]
+            m = lambda x: sx.weyl_m(spec.spectral, r, x).matrix
+            want = (_negatives(b - m(hi)) - _negatives(b - m(lo))
+                    + _negatives(k[0]) - _negatives(k[1]))
+            assert len(got) == want, (name, seed)
+            for x in got:
+                gap = np.abs(np.linalg.eigvalsh(b - m(x))).min()
+                assert gap <= 1e-9 * max(np.linalg.norm(b, 2), np.linalg.norm(m(x), 2)), \
+                    (name, seed, x)
+
+
+def test_two_channels_without_the_datum_are_refused():
+    spectral = dataclasses.replace(sx.build_scaling_invariant_3d(1.5, n=2).spectral,
+                                   negative_axis=None)
+    with pytest.raises(ValueError, match="negative_axis"):
+        sx.find_negative_eigenvalues(spectral, -2.0 * np.eye(2), np.eye(2), INTERVAL)

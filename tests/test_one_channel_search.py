@@ -80,17 +80,17 @@ def test_point_d2_no_root_in_the_interval(point_d2, b):
 
 def test_pole_at_an_end_leaves_the_exact_route_for_the_bracket(monkeypatch):
     # point d = 3: Mhat(x) = -(sqrt(-x) - 1) / (4 pi), and R = -Mhat(hi)
-    # puts the pole of M at hi, where the inertia count is undecided (it
-    # raised PoleError); g = 1 there, and g(x) = 0 at
+    # puts the pole of M at hi, where the inertia count raises PoleError
+    # and one channel goes to the bracket; g = 1 there, and g(x) = 0 at
     # sqrt(-x) = sqrt(-hi) + 4 pi / B
     spectral = sx.build_point_interaction(3).spectral
     lo, hi, b = -3.0, -0.5, 20.0
     r = -spectral.m_hat(complex(hi)).real
-    scans = []
-    monkeypatch.setattr(weyl, "_scan_roots", lambda *a: scans.append(a))
+    grids = []
+    monkeypatch.setattr(weyl, "weyl_m_grid", lambda *a: grids.append(a))
     got = sx.find_negative_eigenvalues(spectral, r, [[b]], (lo, hi))
     want = -(math.sqrt(-hi) + 4.0 * math.pi / b) ** 2
-    assert scans == []
+    assert grids == []
     assert got == [pytest.approx(want, rel=1e-13, abs=0.0)]
 
 
@@ -111,14 +111,14 @@ def _planted(name, seed):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("name", ["padic_2_1.5", "padic_3_0.75", "point_d2"])
 def test_planted_search_without_a_datum_stays_off_the_scan(name, seed, monkeypatch):
-    # at most 40 m_hat calls, no scan, no grid: a return to the scan fails
+    # at most 40 m_hat calls, no grid, no weyl_m: a return to a scan fails
     # here without any timing
     spectral, r, b, x0 = _planted(name, seed)
     assert spectral.n == 1 and spectral.negative_axis is None
     m_hat_calls, other = [], []
     counted = dataclasses.replace(
         spectral, m_hat=lambda z: m_hat_calls.append(z) or spectral.m_hat(z))
-    for attr in ("_scan_roots", "weyl_m_grid", "weyl_m"):
+    for attr in ("weyl_m_grid", "weyl_m"):
         monkeypatch.setattr(weyl, attr, lambda *a, attr=attr: other.append(attr))
     got = sx.find_negative_eigenvalues(counted, r, b, PLANTED_INTERVAL)
     assert other == []

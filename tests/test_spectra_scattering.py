@@ -41,7 +41,7 @@ def test_criterion_agrees_with_eigenvalue_scan(scaling, scaling_r):
     for b in (-2.0, -0.5, 0.2, 1.0, 3.0):
         verdict = bool(sx.is_nonnegative_realization(realization(b)))
         roots = sx.find_negative_eigenvalues(scaling.spectral, scaling_r,
-                                             [[b]], (-60.0, -1e-3), num=400)
+                                             [[b]], (-60.0, -1e-3))
         assert verdict == (len(roots) == 0)
 
 

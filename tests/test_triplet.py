@@ -337,6 +337,7 @@ def test_exactly_singular_matrix_is_a_pole_through_weyl_m_and_krein(singular, mo
 
 
 def test_overflowing_b_minus_m_is_refused_by_krein_correction():
-    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, from B - M
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning from B - M
         with pytest.raises(ValueError, match="finite"):
             sx.krein_correction([[-1e308]], [[1e308]])

@@ -101,7 +101,7 @@ def test_hermiticity_rule_accepts_small_defect_everywhere(one_dim):
     sx.AdmissibleMatrix(b)
     assert sx.is_selfadjoint_realization(b)
     r = sx.solve_homogeneous_R(one_dim.family, one_dim.gram).matrix
-    sx.find_negative_eigenvalues(one_dim.spectral, r, b, (-2.0, -1.0), num=4)
+    sx.find_negative_eigenvalues(one_dim.spectral, r, b, (-2.0, -1.0))
     assert sx.s_matrix(b, 0.3).unitary is not None
 
 
@@ -113,7 +113,7 @@ def test_hermiticity_rule_rejects_larger_defect_everywhere(one_dim):
     assert not sx.is_selfadjoint_realization(b)
     r = sx.solve_homogeneous_R(one_dim.family, one_dim.gram).matrix
     with pytest.raises(ValueError, match="Hermitian"):
-        sx.find_negative_eigenvalues(one_dim.spectral, r, b, (-2.0, -1.0), num=4)
+        sx.find_negative_eigenvalues(one_dim.spectral, r, b, (-2.0, -1.0))
     assert sx.s_matrix(b, 0.3).unitary is None
 
 

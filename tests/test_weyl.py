@@ -172,7 +172,7 @@ def test_weyl_conjugate_symmetry_and_herglotz(padic, padic_r, scaling, scaling_r
 def test_find_negative_eigenvalue_constructed_root(padic, padic_r):
     b = sx.weyl_m(padic.spectral, padic_r, -1.0).matrix.real
     roots = sx.find_negative_eigenvalues(padic.spectral, padic_r, b,
-                                         (-3.0, -0.3), tol=1e-9, num=200)
+                                         (-3.0, -0.3), tol=1e-9)
     assert len(roots) == 1
     assert roots[0] == pytest.approx(-1.0, rel=1e-13, abs=0.0)
 
@@ -183,7 +183,7 @@ def test_find_negative_eigenvalues_zero_coupling(padic, padic_r):
     values = [sx.weyl_m(padic.spectral, padic_r, x).matrix[0, 0].real for x in xs]
     assert all(v < 0 for v in values)
     roots = sx.find_negative_eigenvalues(padic.spectral, padic_r,
-                                         np.zeros((1, 1)), (-3.0, -0.3), num=200)
+                                         np.zeros((1, 1)), (-3.0, -0.3))
     assert roots == []
 
 
@@ -191,7 +191,7 @@ def test_find_one_root_per_monotone_branch(padic, padic_r):
     m_at = lambda x: sx.weyl_m(padic.spectral, padic_r, x).matrix[0, 0].real
     b = 0.5 * (m_at(-2.0) + m_at(-1.0))
     roots = sx.find_negative_eigenvalues(padic.spectral, padic_r, [[b]],
-                                         (-4.0, -0.25), num=300)
+                                         (-4.0, -0.25))
     assert len(roots) == 1
     assert -2.0 < roots[0] < -1.0
 
@@ -218,20 +218,12 @@ def test_find_requires_negative_interval(padic, padic_r):
                                      [[0.0]], (-1.0, 1.0))
 
 
-@pytest.mark.parametrize("num", [0, 1])
-def test_find_requires_two_grid_points(padic, padic_r, num):
-    # one grid point has no bracket; it printed [] where num = 2 finds -0.98
-    with pytest.raises(ValueError, match="num >= 2"):
-        sx.find_negative_eigenvalues(padic.spectral, padic_r, [[-0.57]],
-                                     (-3.0, -0.3), num=num)
-
-
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
 def test_find_requires_finite_positive_tol(padic, padic_r, tol):
     # a NaN tol skipped the bisection and returned the bracket midpoint
     with pytest.raises(ValueError, match="finite tol above 0"):
         sx.find_negative_eigenvalues(padic.spectral, padic_r, [[-0.57]],
-                                     (-3.0, -0.3), tol=tol, num=10)
+                                     (-3.0, -0.3), tol=tol)
 
 
 def test_krein_correction_zero_coupling(padic, padic_r):

@@ -3,11 +3,9 @@
 The array forms of Mhat(z) round in another order than the scalar
 kernels (numpy's vector loops, a stacked inverse), so the grid agrees
 with ``weyl_m`` to rounding, not bit for bit; the p-adic series sums
-each point over the scalar window and agrees exactly.  The
-eigenvalue scan, which searches of several channels still take where
-the exact route's count disagrees, scans with the grid and bisects with
-scalar ``weyl_m``, so on the p-adic model its roots equal those of the
-scalar scan.
+each point over the scalar window and agrees exactly.  No eigenvalue
+search uses the grid: the scalar scan kept here is the tests' reference
+for the search's roots.
 """
 
 import warnings
@@ -228,12 +226,14 @@ def test_grid_refuses_a_resolvent_gram_that_is_not_finite_without_warning(value)
 
 
 # ---------------------------------------------------------------------------
-# The eigenvalue search: a grid scan, then scalar bisection
+# The eigenvalue search, against a scan
 # ---------------------------------------------------------------------------
 
 def _scalar_scan_search(model, reg, coupling, search_interval, tol=DEFAULT_TOL, num=2000):
-    """The search with one scalar ``weyl_m`` per scan point, as before the
-    grid: the reference the batched search must reproduce bit for bit."""
+    """The tests' scan reference for the search: sign changes of
+    det(B - M(x)) at ``num`` points, one scalar ``weyl_m`` each, bisected to
+    ``tol``.  It misses roots of even multiplicity and drops a bracket
+    whose midpoint does not reduce |det| (a pole crossing)."""
     b = np.asarray(coupling, dtype=complex)
     lo, hi = search_interval
 
@@ -294,13 +294,13 @@ def test_batched_search_matches_the_scalar_scan(name, monkeypatch):
     spec, r = _model_and_r(name)
     x0 = PLANTED[name]
     b = _planted_coupling(spec, r, x0)
-    calls, scans = [], []
-    scalar, scan = weyl.weyl_m, weyl._scan_roots
+    calls, grids = [], []
+    scalar = weyl.weyl_m
     monkeypatch.setattr(weyl, "weyl_m", lambda *a: calls.append(a[2]) or scalar(*a))
-    monkeypatch.setattr(weyl, "_scan_roots", lambda *a: scans.append(a) or scan(*a))
+    monkeypatch.setattr(weyl, "weyl_m_grid", lambda *a: grids.append(a))
     got = sx.find_negative_eigenvalues(spec.spectral, r, b, SEARCH_INTERVAL)
     assert len(got) == len(x0)
-    assert scans == []
+    assert grids == []
     if spec.spectral.negative_axis is None:
         np.testing.assert_allclose(got, x0, rtol=1e-12, atol=0.0)
         assert calls == []
@@ -309,22 +309,35 @@ def test_batched_search_matches_the_scalar_scan(name, monkeypatch):
         assert len(calls) <= 2
 
 
-@pytest.mark.parametrize("name", ["padic_2_1.5", "padic_3_0.75"])
-def test_the_scan_matches_the_scalar_scan(name):
-    # the p-adic grid equals scalar weyl_m bit for bit, so the scan, which
-    # searches of several channels still take, equals the scalar scan
+@pytest.mark.parametrize("name", sorted(n for n in PLANTED if not n.startswith("padic")))
+def test_pole_free_exact_search_makes_one_eigenproblem(name, monkeypatch):
+    # the homogeneous R puts no pole of M on the negative axis, so the
+    # roots alone match the count: two scalar weyl_m calls and one
+    # companion eigenproblem, and the pole polynomial stays unsolved
     spec, r = _model_and_r(name)
-    x0 = PLANTED[name]
-    b = _planted_coupling(spec, r, x0).astype(complex)
-    got = weyl._scan_roots(spec.spectral, r, b, *SEARCH_INTERVAL, DEFAULT_TOL, 2000)
-    assert got == _scalar_scan_search(spec.spectral, r, b, SEARCH_INTERVAL)
-    np.testing.assert_allclose(got, x0, rtol=0.0, atol=1e-8)
+    assert spec.spectral.negative_axis is not None
+    b = _planted_coupling(spec, r, PLANTED[name])
+    calls = {"weyl_m": 0, "weyl_m_grid": 0, "eigvals": 0}
+
+    def counted(owner, attr, key):
+        f = getattr(owner, attr)
+
+        def call(*a, **k):
+            calls[key] += 1
+            return f(*a, **k)
+        monkeypatch.setattr(owner, attr, call)
+
+    counted(weyl, "weyl_m", "weyl_m")
+    counted(weyl, "weyl_m_grid", "weyl_m_grid")
+    counted(np.linalg, "eigvals", "eigvals")
+    sx.find_negative_eigenvalues(spec.spectral, r, b, SEARCH_INTERVAL)
+    assert calls == {"weyl_m": 2, "weyl_m_grid": 0, "eigvals": 1}
 
 
 @pytest.mark.parametrize("name", ["one_dim", "scaling_n2", "scaling_n3"])
-def test_search_scan_of_several_channels_makes_no_svd(name, monkeypatch):
-    # the inverse certifies every point of the scan, so the pole rule
-    # needs no singular values
+def test_grid_of_several_channels_on_the_negative_axis_makes_no_svd(name, monkeypatch):
+    # the inverse certifies every point of a 2000-point grid on the
+    # search interval, so the pole rule needs no singular values
     spec, r = _model_and_r(name)
     assert spec.n > 1
     xs = np.linspace(*SEARCH_INTERVAL, 2000)
