@@ -291,7 +291,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                                            parents=[model_flags])
     solver_flags.add_argument(
         "--tol", type=tolerance, default=DEFAULT_TOL,
-        help="solver, bisection and criterion tolerance (default %(default)s)")
+        help="solver, root-merging and criterion tolerance (default %(default)s)")
 
     def command(name, handler, summary, parents=()):
         sub = commands.add_parser(name, help=summary, parents=parents)

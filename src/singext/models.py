@@ -54,15 +54,18 @@ Sample grids default to the geometric set {2^k : k = -3..3} (in the
 p-adic case {p^m : m = -3..3}), enough points to expose inconsistency
 in the homogeneity system.  Every model is built from closed forms and
 the p-adic scale table; no build integrates.  Each backend gives
-Mhat(z), the Weyl function of the plain defect triplet, at one z and
-over an array of z (``SpectralModel.m_hat`` and ``m_hat_grid``): the
-closed forms ``radial_m_hat`` and ``radial_m_hat_grid`` for the point
-and scaling models, diag((1-u)/(2u), (1-u)/2) with u = sqrt(-z) for the
-one-dim model, and the series E(z) for the p-adic model.  On the negative
-axis the point (d = 1, 3), scaling and one-dim Mhat are polynomials in a
-power of -x (``SpectralModel.negative_axis``), from which the eigenvalue
-search takes its roots exactly (``radial_negative_axis``).  The scalar
-E(z) functions (``radial_resolvent_closed``, ``e_alpha``,
+Mhat(z), the Weyl function of the plain defect triplet, at one z
+(``SpectralModel.m_hat``): the closed form ``radial_m_hat`` for the
+point and scaling models, diag((1-u)/(2u), (1-u)/2) with u = sqrt(-z)
+for the one-dim model, and the series E(z) for the p-adic model.  The
+closed forms also come over an array of z (``m_hat_grid``, from
+``radial_m_hat_grid`` for the point and scaling models); the p-adic
+model has no array form, and ``weyl_m_grid`` loops over its ``m_hat``.
+On the negative axis the point (d = 1, 3), scaling and one-dim Mhat are
+polynomials in a power of -x (``SpectralModel.negative_axis``), from
+which the eigenvalue search takes its roots exactly
+(``radial_negative_axis``).  The scalar E(z) functions
+(``radial_resolvent_closed``, ``e_alpha``,
 ``point_interaction_resolvent``, ``_one_dim_resolvent`` and
 ``padic_resolvent``) give the independent check
 Mhat(z) = (z+1) (overlap + (z+1) E(z)).  The quadratures
@@ -511,7 +514,9 @@ def _padic_series(p: int, alpha: float, z: complex, closed: bool,
     half, log_p, size = len(lam) // 2, math.log(p), abs(z)
     n_z = half if not size else min(half, max(-half, math.ceil(
         1.0 - (math.log(size) - math.log(2.0)) / (alpha * log_p))))
-    lo, hi = _series_window(log_p, a, half, n_z)
+    span = math.log(1e17) / log_p  # the scales over which p^-N falls 17 decades
+    lo = max(-half, min(n_z, 0) - math.ceil(span / a) - 2)
+    hi = min(half, max(n_z, 0) + math.ceil(span) + 2)
     lam, w = lam[lo + half:hi + half + 1], w[lo + half:hi + half + 1]
     if not z.imag and z.real > 0.0 and z.real in lam:
         raise PoleError(f"z = {z.real!r} is an eigenvalue lambda_N of A0")
@@ -536,17 +541,9 @@ def _m_hat_within(bound, total, z, overlap):
     """Whether the bound on E, carried to Mhat = w (overlap + w E) with
     w = z + 1 as |w|^2 bound, is within ``SERIES_RTOL`` of |Mhat|: next to
     a zero of E between two lambda_N, Mhat is regular and the series
-    converges, though its bound exceeds 1e-15 of |E|.  Element by element
-    over arrays."""
+    converges, though its bound exceeds 1e-15 of |E|."""
     w = z + 1.0
     return abs(w) ** 2 * bound <= SERIES_RTOL * abs(w * (overlap + w * total))
-
-
-def _series_window(log_p: float, a: float, half: int, n_z: int) -> tuple[int, int]:
-    """The scales lo..hi of ``_padic_series`` at scale n_z, decay rate a."""
-    span = math.log(1e17) / log_p  # the scales over which p^-N falls 17 decades
-    return (max(-half, min(n_z, 0) - math.ceil(span / a) - 2),
-            min(half, max(n_z, 0) + math.ceil(span) + 2))
 
 
 def padic_resolvent(p: int, alpha: float, z: complex,
@@ -558,81 +555,6 @@ def padic_resolvent(p: int, alpha: float, z: complex,
     for the model's ``m_hat``.
     """
     return _padic_series(p, alpha, complex(z), closed=False, overlap=overlap)
-
-
-PADIC_GRID_BLOCK = 256
-PADIC_GRID_TERMS = 1 << 16  # terms of one block: 1 MB of complex
-
-
-def padic_resolvent_grid(p: int, alpha: float, z: np.ndarray,
-                         overlap: float | None = None) -> np.ndarray:
-    """``padic_resolvent`` at every point of a finite complex array z.
-
-    The points that share a scale n_z share the scalar series' window,
-    and are summed over it in blocks of at most ``PADIC_GRID_BLOCK``
-    points and ``PADIC_GRID_TERMS`` terms, each point under the same
-    edge-and-tail check, with the ``overlap`` as in ``_padic_series``.
-    """
-    lam, c2, _, _ = _padic_scales(p, alpha)
-    half, log_p, a = len(lam) // 2, math.log(p), 3.0 * alpha - 1.0
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    with np.errstate(divide="ignore"):  # n_z = half at z = 0, as in the scalar series
-        n_z = np.minimum(half, np.maximum(-half, np.ceil(
-            1.0 - (np.log(np.abs(flat)) - math.log(2.0)) / (alpha * log_p)))).astype(int)
-    out = np.empty(flat.shape, dtype=complex)
-    for n in np.unique(n_z).tolist():
-        lo, hi = _series_window(log_p, a, half, n)
-        points = np.flatnonzero(n_z == n)
-        step = max(1, min(PADIC_GRID_BLOCK, PADIC_GRID_TERMS // (hi - lo + 1)))
-        for k in range(0, len(points), step):
-            block = points[k:k + step]
-            out[block] = _padic_block(p, alpha, lam[lo + half:hi + half + 1],
-                                      c2[lo + half:hi + half + 1], flat[block], lo, hi,
-                                      overlap)
-    return out.reshape(z.shape)
-
-
-def _padic_block(p: int, alpha: float, lam: np.ndarray, w: np.ndarray,
-                 z: np.ndarray, lo: int, hi: int, overlap: float | None) -> np.ndarray:
-    """``_padic_series`` (closed=False) of a 1-D array of z over the scales lo..hi.
-
-    A block of real z forms its terms in real arithmetic,
-    w * (1 / (lambda_N - x)), and sums them as complex.  numpy divides by
-    b + 0i as (w + 0 * 0) * (1 / b), so the real parts are the complex
-    quotient w / (lambda_N - z) bit for bit.  The imaginary parts are
-    zeros, -0.0 in the quotient where lambda_N < x; the first term has
-    lambda_N >= 2 |z| wherever the tail check passes, so each sum keeps
-    +0.0 and equals the complex route's sum bit for bit.  A real sum
-    would pair the terms differently.  A block with any nonreal z keeps
-    the complex quotient.
-    """
-    on_axis = z.real[(z.imag == 0.0) & (z.real > 0.0)]
-    hits = on_axis[np.isin(on_axis, lam)]
-    if hits.size:
-        raise PoleError(f"z = {float(hits[0])!r} is an eigenvalue lambda_N of A0")
-    a, size = 3.0 * alpha - 1.0, np.abs(z)
-    if z.imag.any():
-        terms = w / (lam - z[:, None])
-    else:
-        terms = (w * (1.0 / (lam - z.real[:, None]))).astype(complex)
-    total = (p - 1) * terms.sum(axis=1)
-    tail = np.full(z.shape, math.inf)
-    above = lam[-1] <= 0.5 * size
-    tail[above] = 2.0 * p ** -hi / ((p - 1) * size[above])
-    if alpha < 1.0:
-        tail[~above & (z.real <= 0.0)] = (p ** ((alpha - 1.0) * (hi + 1) - alpha)
-                                          / (1.0 - p ** (alpha - 1.0)))
-    tail += np.where(lam[0] >= 2.0 * size,
-                     2.0 * p ** (a * (lo - 2) - 1.0) / (1.0 - p ** -a), math.inf)
-    bound = (p - 1) * (np.abs(terms[:, 0]) + np.abs(terms[:, -1]) + tail)
-    bad = ~(bound <= SERIES_RTOL * np.abs(total))
-    if bad.any() and overlap is not None:
-        bad[bad] = ~_m_hat_within(bound[bad], total[bad], z[bad], overlap)
-    if bad.any():
-        raise ConvergenceError(f"p-adic series at z = {complex(z[bad][0])!r}"
-                               f" not within {SERIES_RTOL:g}")
-    return total
 
 
 def padic_closed_form_m(p: int, alpha: float) -> Callable[[complex], np.ndarray]:
@@ -675,18 +597,12 @@ def build_padic_model(p: int, alpha: float) -> ModelSpec:
         e = padic_resolvent(p, alpha, z, overlap=gram_0)
         return w * (overlap + w * np.array([[e]]))
 
-    def m_hat_grid(z):
-        w = (z + 1.0)[..., None, None]
-        e = padic_resolvent_grid(p, alpha, z, overlap=gram_0)
-        return w * (overlap + w * e[..., None, None])
-
     spectral = SpectralModel(
         n=1,
         m_hat=m_hat,
         overlap=overlap,
         psi_in_Hminus1=(alpha > 1.0,),
         closed_form_M=closed,
-        m_hat_grid=m_hat_grid,
     )
     return ModelSpec(KIND_PADIC, {"p": p, "alpha": alpha}, family, gram,
                      spectral, ("delta",))

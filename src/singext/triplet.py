@@ -83,21 +83,15 @@ def refuse_stacked_poles(mats: np.ndarray, what: str) -> None:
 
     The ``within`` rule at ``POLE_RTOL``, point by point: the smallest
     singular value against the largest.  This is the pole rule of the
-    package; ``invert_or_refuse_poles`` takes the same decisions with an
-    SVD only for the matrices its certificate does not clear.
+    package; ``invert_or_refuse_poles`` takes the same decisions, on a
+    single matrix with an SVD only where its certificate does not clear it.
     """
     svals = stacked_singular_values(mats)
     if within_grid(svals[..., -1], POLE_RTOL, svals[..., 0]).any():
         raise PoleError(f"{what} is singular at the requested point")
 
 
-def _frobenius_sq(mats: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norms (...) of a stack (..., n, n)."""
-    parts = np.ascontiguousarray(mats).view(float)  # real and imaginary parts
-    return np.einsum("...ij,...ij->...", parts, parts)
-
-
-def _frobenius_sq_one(mat: np.ndarray) -> float:
+def _frobenius_sq(mat: np.ndarray) -> float:
     """Squared Frobenius norm of one matrix, summed in Python floats, which
     overflow to inf and underflow to 0 without a warning."""
     total = 0.0
@@ -114,30 +108,30 @@ def invert_or_refuse_poles(mats: np.ndarray, what: str) -> np.ndarray:
     the pole rule.
 
     Raises ``PoleError`` exactly where ``refuse_stacked_poles`` does, and
-    otherwise returns ``np.linalg.inv(mats)`` bit for bit, with an SVD
-    only for the matrices that the inverse itself does not certify.
+    otherwise returns ``np.linalg.inv(mats)`` bit for bit.  An exactly
+    singular matrix, on which ``np.linalg.inv`` raises ``LinAlgError``,
+    is a ``PoleError`` even where the SVD rule would pass.
 
-    The certificate: sigma_min(A) >= 1 / ||A^-1||_F and
-    sigma_max(A) <= ||A||_F.  A computed inverse is the exact inverse of
-    a matrix within about eps ||A|| of A, so a matrix with
+    A stack must be finite; it goes to ``refuse_stacked_poles`` after its
+    one inverse.  A single matrix (n, n), the form of the scalar
+    ``weyl_m`` and ``krein_correction``, is checked here, and takes an
+    SVD only where the inverse itself does not certify it:
+    sigma_min(A) >= 1 / ||A^-1||_F and sigma_max(A) <= ||A||_F.  A
+    computed inverse is the exact inverse of a matrix within about
+    eps ||A|| of A, so a matrix with
     1 / ||X||_F > ``POLE_CERT_MARGIN`` * ``POLE_RTOL`` * max(1, ||A||_F)
     for its computed inverse X has sigma_min far above
     ``POLE_RTOL`` * max(1, sigma_max), and the SVD rule, whose singular
     values are also within about eps ||A|| of the true ones, would not
     refuse it either.  A matrix the certificate does not clear (an
     inverse that is near the threshold, overflows or is not finite, or a
-    squared norm that overflows) goes to ``refuse_stacked_poles``.  An
-    exactly singular matrix, on which ``np.linalg.inv`` raises
-    ``LinAlgError``, sends the whole stack to the SVD rule, and is a
-    ``PoleError`` even where that rule would pass.
-
-    A stack must be finite.  A single matrix (n, n) is checked here: its
-    norms are summed over its n^2 entries in Python floats, cheaper than
-    numpy's per-call cost, a finite ||A||_F is its finiteness check, and
+    squared norm that overflows) goes to ``refuse_stacked_poles``.  The
+    norms are summed over the n^2 entries in Python floats, cheaper than
+    numpy's per-call cost; a finite ||A||_F is the finiteness check, and
     an entry that is not finite raises ``ValueError``.
     """
     if mats.ndim == 2:
-        a_sq = _frobenius_sq_one(mats)
+        a_sq = _frobenius_sq(mats)
         if not math.isfinite(a_sq) and not np.isfinite(mats).all():
             raise ValueError("matrix entries must be finite")
     try:
@@ -145,15 +139,8 @@ def invert_or_refuse_poles(mats: np.ndarray, what: str) -> np.ndarray:
     except np.linalg.LinAlgError:
         refuse_stacked_poles(mats, what)
         raise PoleError(f"{what} is singular at the requested point") from None
-    if mats.ndim == 2:
-        if not _CERT_SQ * _frobenius_sq_one(inv) * max(1.0, a_sq) < 1.0:
-            refuse_stacked_poles(mats, what)
-        return inv
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = _CERT_SQ * _frobenius_sq(inv)
-        cleared = bound * np.maximum(1.0, _frobenius_sq(mats)) < 1.0
-    if not cleared.all():
-        refuse_stacked_poles(mats[~cleared], what)
+    if mats.ndim > 2 or not _CERT_SQ * _frobenius_sq(inv) * max(1.0, a_sq) < 1.0:
+        refuse_stacked_poles(mats, what)
     return inv
 
 

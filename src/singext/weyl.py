@@ -203,14 +203,14 @@ def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
 
     Returns an array of shape ``np.shape(z) + (n, n)`` that agrees with
     ``weyl_m`` point by point (to rounding; the array form of Mhat(z) may
-    round in another order).  For n = 1 the inverse is the reciprocal of
-    the one entry, with no per-matrix LAPACK call: where R + Mhat(z) is
-    real with +0.0 imaginary parts, as on the negative axis, it equals
-    ``np.linalg.inv`` bit for bit; at nonreal z the two agree to a few ulp.
-    For n > 1 it is ``np.linalg.inv`` of the stack, and the pole rule
-    takes an SVD only of the matrices the inverse does not certify
-    (``triplet.invert_or_refuse_poles``), with the decisions of the SVD
-    rule at every point.
+    round in another order).  A backend without an array form (the
+    p-adic series) is looped over its scalar ``m_hat``.  For n = 1 the
+    inverse is the reciprocal of the one entry, with no per-matrix LAPACK
+    call: where R + Mhat(z) is real with +0.0 imaginary parts, as on the
+    negative axis, it equals ``np.linalg.inv`` bit for bit, so a looped
+    backend gives ``weyl_m``'s bytes there; at nonreal z the two agree to
+    a few ulp.  For n > 1 it is ``np.linalg.inv`` of the stack, after which the
+    SVD rule decides the poles (``triplet.invert_or_refuse_poles``).
     It raises what ``weyl_m`` raises, if it would at any of the points:
     ``PoleError`` for a singular R + Mhat(z), ``ValueError`` for a z or
     R + Mhat(z) that is not finite or a Mhat(z) of the wrong shape, and
@@ -301,15 +301,16 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
        those where u^d R + sum_k C_k u^k is.  One ``np.linalg.eigvals``
        of a block companion matrix finds either set, each point as often
        as its multiplicity (``_real_singular_points``); roots closer than
-       ``tol`` are merged.  Two scalar ``weyl_m`` calls certify their
-       number.  B - M(x) is Hermitian and strictly decreasing between the
-       poles of M, and at a pole one of its eigenvalues leaves through
-       -inf and comes back through +inf.  So its count of negative
-       eigenvalues grows from ``lo`` to ``hi`` by the number of roots in
-       [lo, hi] less the number of poles, multiplicity included.  An
-       eigenvalue that is zero to rounding counts as negative at ``hi``
-       and not at ``lo``, and its root is that end.  The poles are found
-       only where the roots alone disagree with the count.
+       ``tol`` times their size are merged.  Two scalar ``weyl_m`` calls
+       certify their number.  B - M(x) is Hermitian and strictly
+       decreasing between the poles of M, and at a pole one of its
+       eigenvalues leaves through -inf and comes back through +inf.  So
+       its count of negative eigenvalues grows from ``lo`` to ``hi`` by
+       the number of roots in [lo, hi] less the number of poles,
+       multiplicity included.  An eigenvalue that is zero to rounding
+       counts as negative at ``hi`` and not at ``lo``, and its root is
+       that end.  The poles are found only where the roots alone disagree
+       with the count.
     2. One bracketed root, for one channel (n = 1) without the datum
        (p-adic, point d = 2), or where route 1's count disagrees or meets
        a pole of M at an end.  Here det(B - M(x)) = g(x) / K(x) with
@@ -395,7 +396,7 @@ def _exact_roots(model: SpectralModel, reg, b: np.ndarray, lo: float, hi: float,
         return None
     clusters: list[list[float]] = []
     for x in roots:
-        if clusters and x - clusters[-1][-1] < tol:
+        if clusters and x - clusters[-1][-1] < tol * abs(x):
             clusters[-1].append(x)
         else:
             clusters.append([x])
@@ -410,13 +411,17 @@ def _real_singular_points(datum: NegativeAxisPolynomial, a: np.ndarray,
     ``a`` stacks A_0..A_D and ``lead`` is L.  The points are the real u
     among the eigenvalues of one block companion matrix, shifted to the u
     of z = -i sqrt(lo hi): off the real axis, where the polynomials of the
-    search are invertible.
+    search are invertible.  A constant (degree 0) has no such point, and
+    raises ``LinAlgError`` where it is singular.
     """
     n = lead.shape[0]
     deg = max(datum.d, len(a) - 1)
     poly = np.zeros((deg + 1, n, n), dtype=complex)
     poly[:len(a)] = a
     poly[datum.d] += lead
+    if not deg:  # a constant: singular nowhere, or everywhere (LinAlgError)
+        np.linalg.inv(poly[0])
+        return []
     # P(sigma + 1/mu) mu^deg = sum_j T_j mu^(deg-j) with T_j the Taylor
     # coefficients of P at sigma; T_0 = P(sigma) is invertible
     sigma = (1j * math.sqrt(lo * hi)) ** datum.q

@@ -226,3 +226,29 @@ def test_two_channels_without_the_datum_are_refused():
                                    negative_axis=None)
     with pytest.raises(ValueError, match="negative_axis"):
         sx.find_negative_eigenvalues(spectral, -2.0 * np.eye(2), np.eye(2), INTERVAL)
+
+
+def test_close_roots_at_a_small_scale_are_not_merged():
+    # M(x) = diag(-2u, 2/u), u = sqrt(-x), at the one-dim homogeneous R, so
+    # B = diag(b0, b1) has the roots -(b0/2)^2 = -5e-11 and -(2/b1)^2 =
+    # -2e-11: closer than tol = 1e-10, but far apart for their size.  A merge
+    # at the absolute tol returned their mean, -3.5e-11
+    spec = MODELS["one_dim"]()
+    r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix
+    b = np.diag([-np.sqrt(2.0) * 1e-5, np.sqrt(2e11)])
+    want = sorted([-(b[0, 0] / 2) ** 2, -(2 / b[1, 1]) ** 2])
+    got = sx.find_negative_eigenvalues(spec.spectral, r, b, (-1e-9, -1e-12))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_constant_datum_is_singular_nowhere_or_refused():
+    # d = 0 and one coefficient: Mhat = C_0 on the whole axis, with no
+    # Taylor block for the companion matrix
+    datum = NegativeAxisPolynomial(0.5, 0, 0.5 * np.eye(2)[None])
+    spectral = weyl.SpectralModel(2, lambda z: 0.5 * np.eye(2), np.eye(2), (True, True),
+                                  negative_axis=datum)
+    r = -np.eye(2)  # M = 2 I
+    assert sx.find_negative_eigenvalues(spectral, r, np.eye(2), (-3.0, -0.3)) == []
+    # B - M = 0 on the whole axis: no roots to count
+    with pytest.raises(ConvergenceError, match="inertia count"):
+        sx.find_negative_eigenvalues(spectral, r, 2.0 * np.eye(2), (-3.0, -0.3))

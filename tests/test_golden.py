@@ -27,3 +27,15 @@ def test_cli_output_matches_golden(case):
     assert code == case["exit_code"]
     if case["stdout"] is not None:
         assert out.getvalue() == case["stdout"]
+
+
+def test_close_roots_at_a_small_scale_are_recorded_apart():
+    # One-dim model at its homogeneous R: M(x) = diag(-2u, 2/u), u = sqrt(-x),
+    # so B = diag(b0, b1) has the roots -(b0/2)^2 and -(2/b1)^2, here 3e-11
+    # apart, closer than the default tol of 1e-10
+    case = next(c for c in CASES if "--interval=-1e-9,-1e-12" in c["argv"])
+    b = json.loads(case["argv"][case["argv"].index("--B") + 1])
+    want = sorted([-(b[0][0] / 2) ** 2, -(2 / b[1][1]) ** 2])
+    got = json.loads(case["stdout"])["output"]
+    assert len(got) == 2
+    assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want)), (got, want)

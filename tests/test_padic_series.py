@@ -169,21 +169,23 @@ def test_window_stays_in_the_normal_range(p, alpha):
 
 
 # ---------------------------------------------------------------------------
-# The grid series on the real axis: real arithmetic, the complex quotient's bits
+# weyl_m_grid on the real axis: the scalar series, looped, bit for bit
 # ---------------------------------------------------------------------------
 
-def _scalar_or_refusal(p, alpha, z):
-    """The oracle: the scalar series, which sums the complex quotients
-    w_N / (lambda_N - z), or the type of its refusal."""
-    try:
-        return models.padic_resolvent(p, alpha, z)
-    except (ConvergenceError, PoleError) as err:
-        return type(err)
+@functools.cache
+def _padic_spectral(p, alpha):
+    return sx.build_padic_model(p, alpha).spectral
 
 
-def _grid_or_refusal(p, alpha, z):
+def _weyl_or_refusal(p, alpha, z, grid):
+    """M(z) at R = I, from scalar ``weyl_m`` or through ``weyl_m_grid``,
+    which loops over the model's scalar ``m_hat``, or the type of its
+    refusal."""
+    spectral = _padic_spectral(p, alpha)
     try:
-        return models.padic_resolvent_grid(p, alpha, np.array([z]))[0]
+        if grid:
+            return sx.weyl_m_grid(spectral, 1.0, [z])[0, 0, 0]
+        return sx.weyl_m(spectral, 1.0, z).matrix[0, 0]
     except (ConvergenceError, PoleError) as err:
         return type(err)
 
@@ -193,37 +195,22 @@ def _bits(value):
 
 
 @pytest.mark.parametrize("p, alpha", MODELS)
-def test_real_axis_terms_are_the_complex_quotient_bit_for_bit(p, alpha):
-    lam, c2, _, _ = models._padic_scales(p, alpha)
-    for x in np.concatenate([-np.logspace(-12, 6, 200), np.logspace(-6, 4, 200)]):
-        if x in lam:
-            continue
-        real = (c2 * (1.0 / (lam - x))).astype(complex)
-        quotient = c2 / (lam - complex(x))
-        assert np.array_equal(real, quotient), x
-        # the quotient's zero imaginary parts are -0.0 exactly where lambda_N < x
-        assert np.array_equal(np.signbit(quotient.imag), lam < x), x
-        # a +0.0 term (lambda_N > x) keeps each sum's zero imaginary part +0.0
-        assert _bits(real.sum()) == _bits(quotient.sum()), x
-
-
-@pytest.mark.parametrize("p, alpha", MODELS)
 def test_real_axis_grid_is_the_complex_series_bit_for_bit(p, alpha):
     lam = models._padic_scales(p, alpha)[0]
     negative = -np.logspace(-14, 8, 1000)
     positive = np.logspace(-6, 4, 1500)
     positive = positive[np.abs(positive[:, None] / lam - 1.0).min(axis=1) > 1e-6]
     z = np.concatenate([negative, positive]).astype(complex)
-    want = [_scalar_or_refusal(p, alpha, zk) for zk in z.tolist()]
+    want = [_weyl_or_refusal(p, alpha, zk, grid=False) for zk in z.tolist()]
     for zk, w in zip(z.tolist(), want):
-        got = _grid_or_refusal(p, alpha, zk)
+        got = _weyl_or_refusal(p, alpha, zk, grid=True)
         if isinstance(w, type):
             assert got is w, zk
         else:
             assert _bits(got) == _bits(w), zk  # the sign of a zero imaginary part too
     ok = np.array([not isinstance(w, type) for w in want])
     assert ok[:len(negative)].all() and ok.sum() > 0.99 * len(z)
-    assert np.array_equal(models.padic_resolvent_grid(p, alpha, z[ok]),
+    assert np.array_equal(sx.weyl_m_grid(_padic_spectral(p, alpha), 1.0, z[ok])[:, 0, 0],
                           np.array([w for w in want if not isinstance(w, type)]))
 
 
@@ -231,25 +218,14 @@ def test_real_axis_grid_is_the_complex_series_bit_for_bit(p, alpha):
 def test_real_axis_grid_refuses_where_the_scalar_series_does(p, alpha):
     lam = models._padic_scales(p, alpha)[0]
     pole = complex(lam[len(lam) // 2 + 2])
-    assert _scalar_or_refusal(p, alpha, pole) is PoleError
-    assert _grid_or_refusal(p, alpha, pole) is PoleError
+    assert _weyl_or_refusal(p, alpha, pole, grid=False) is PoleError
+    assert _weyl_or_refusal(p, alpha, pole, grid=True) is PoleError
     with pytest.raises(PoleError, match=repr(pole.real)):
-        models.padic_resolvent_grid(p, alpha, np.array([-1.0, pole, 2.5]))
+        sx.weyl_m_grid(_padic_spectral(p, alpha), 1.0, np.array([-1.0, pole, 2.5]))
     for zero in (0j, complex(0.0, -0.0), complex(-0.0, 0.0)):
-        want = _scalar_or_refusal(p, alpha, zero)
-        got = _grid_or_refusal(p, alpha, zero)
+        want = _weyl_or_refusal(p, alpha, zero, grid=False)
+        got = _weyl_or_refusal(p, alpha, zero, grid=True)
         assert got is want if isinstance(want, type) else _bits(got) == _bits(want)
-
-
-@pytest.mark.parametrize("p, alpha", MODELS)
-def test_a_block_mixing_real_and_nonreal_z_takes_the_complex_quotient(p, alpha):
-    # equal moduli, so one scale n_z and one block; the real z come first
-    z = 1.5 * np.exp(1j * np.array([np.pi, 0.0, 2.5, -2.5, 0.4]))
-    z[:2] = z[:2].real
-    got = models.padic_resolvent_grid(p, alpha, z)
-    want = np.array([models.padic_resolvent(p, alpha, zk) for zk in z.tolist()])
-    assert got.tobytes() == want.tobytes()
-    assert (got.imag[2:] != 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +249,17 @@ def mpmath_m_hat(p, alpha, x):
 def test_m_hat_is_accepted_next_to_a_zero_of_e(p, alpha, x):
     with pytest.raises(ConvergenceError):
         models.padic_resolvent(p, alpha, x)
-    with pytest.raises(ConvergenceError):
-        models.padic_resolvent_grid(p, alpha, np.array([x]))
     spec = sx.build_padic_model(p, alpha)
     r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix[0, 0]
     want = mpmath_m_hat(p, alpha, x)
-    # in a block with a point that passes E's own rule, and alone
-    grid = spec.spectral.m_hat_grid(np.array([x, 1.01 * x], dtype=complex))
     assert relative_error(spec.spectral.m_hat(x)[0, 0], want) <= REL_TOL
-    assert relative_error(grid[0, 0, 0], want) <= REL_TOL
-    assert relative_error(grid[1, 0, 0], mpmath_m_hat(p, alpha, 1.01 * x)) <= REL_TOL
     want_m = -1.0 / (r + want)
     assert relative_error(sx.weyl_m(spec.spectral, r, x).matrix[0, 0], want_m) <= REL_TOL
-    assert relative_error(sx.weyl_m_grid(spec.spectral, r, [x])[0, 0, 0], want_m) <= REL_TOL
+    # through weyl_m_grid, next to a point that passes E's own rule
+    grid = sx.weyl_m_grid(spec.spectral, r, [x, 1.01 * x])
+    assert relative_error(grid[0, 0, 0], want_m) <= REL_TOL
+    want_m = -1.0 / (r + mpmath_m_hat(p, alpha, 1.01 * x))
+    assert relative_error(grid[1, 0, 0], want_m) <= REL_TOL
 
 
 @pytest.mark.parametrize("p, alpha", MODELS)
@@ -313,6 +287,8 @@ def test_m_hat_keeps_e_rule_values_bit_for_bit(p, alpha):
         w = zk + 1.0
         want = w * (overlap + w * np.array([[e]]))
         assert _bits(spec.spectral.m_hat(zk)) == want.tobytes(), zk
-        assert _bits(spec.spectral.m_hat_grid(np.array([zk]))[0]) == want.tobytes(), zk
+        # and through weyl_m_grid, which loops over m_hat
+        got = sx.weyl_m_grid(spec.spectral, 1.0, [zk])[0]
+        assert got.tobytes() == (-(1.0 / (1.0 + want))).tobytes(), zk
     # E diverges at 0 for alpha >= 1, and so does Mhat
     assert refused == ([0j] if alpha >= 1.0 else [])

@@ -198,22 +198,25 @@ def svd_rule_calls(monkeypatch):
 @pytest.mark.parametrize("n, cplx, herm", STACK_KINDS)
 def test_certified_pole_rule_decides_as_the_svd_rule(n, cplx, herm, svd_rule_calls):
     stack = _seeded_stack(n, cplx, herm)
-    refused = np.array([_refused(stack[k:k + 1]) for k in range(len(stack))])
+    refused = np.array([_refused(mat) for mat in stack])
     svd_rule_calls.clear()
-    for k, refuse in enumerate(refused.tolist()):
+    for mat, refuse in zip(stack, refused.tolist()):
         if refuse:
             with pytest.raises(PoleError):
-                invert_or_refuse_poles(stack[k:k + 1], "A")
+                invert_or_refuse_poles(mat, "A")
         else:
-            got = invert_or_refuse_poles(stack[k:k + 1], "A")
-            assert got.tobytes() == np.linalg.inv(stack[k:k + 1]).tobytes()
+            got = invert_or_refuse_poles(mat, "A")
+            assert got.tobytes() == np.linalg.inv(mat).tobytes()
     certified = len(stack) - len(svd_rule_calls)
     # every outcome occurs: refused, passed by the SVD rule, certified
     assert 0 < refused.sum() < len(svd_rule_calls) < len(stack), (refused.sum(), certified)
+    # a stack goes to the SVD rule whole, after its one inverse
+    svd_rule_calls.clear()
     with pytest.raises(PoleError):
         invert_or_refuse_poles(stack, "A")
     regular = stack[~refused]
     assert invert_or_refuse_poles(regular, "A").tobytes() == np.linalg.inv(regular).tobytes()
+    assert svd_rule_calls == [stack.shape[:1], regular.shape[:1]]
 
 
 @pytest.mark.parametrize("n, cplx, herm", STACK_KINDS)
@@ -225,8 +228,7 @@ def test_certificate_clears_well_separated_matrices_at_every_scale(n, cplx, herm
     svals = np.linalg.svd(stack, compute_uv=False)
     clear = svals[:, -1] > 1e-11 * np.maximum(1.0, svals[:, 0])
     assert (svals[clear, 0] < 1.0).any() and (svals[clear, 0] > 1.0).any()
-    invert_or_refuse_poles(stack[clear], "A")
-    for mat in stack[clear]:  # and one matrix at a time
+    for mat in stack[clear]:
         invert_or_refuse_poles(mat, "A")
     assert svd_rule_calls == []
 
@@ -242,8 +244,9 @@ def test_exactly_singular_matrix_in_a_stack_is_a_pole_not_a_lapack_error():
 
 def test_exactly_singular_matrix_is_a_pole_even_where_the_svd_rule_passes(monkeypatch):
     monkeypatch.setattr(triplet, "refuse_stacked_poles", lambda mats, what: None)
-    with pytest.raises(PoleError):
-        invert_or_refuse_poles(np.ones((1, 2, 2)), "A")
+    for singular in (np.ones((2, 2)), np.ones((1, 2, 2))):  # a matrix, a stack
+        with pytest.raises(PoleError):
+            invert_or_refuse_poles(singular, "A")
 
 
 def test_overflowing_inverse_goes_to_the_svd_rule_without_warning(svd_rule_calls):
@@ -253,17 +256,18 @@ def test_overflowing_inverse_goes_to_the_svd_rule_without_warning(svd_rule_calls
         assert not np.isfinite(np.linalg.inv(stack)).all()
         with pytest.raises(PoleError):
             invert_or_refuse_poles(stack, "A")
-    assert svd_rule_calls == [(1,)]
+    assert svd_rule_calls == [(3,)]
 
 
 def test_uncertifiable_norms_go_to_the_svd_rule_without_warning(svd_rule_calls):
-    # ||A||_F^2 overflows and ||A^-1||_F^2 underflows: no certificate, no pole
+    # ||A||_F^2 would overflow and ||A^-1||_F^2 underflow: a stack takes no
+    # norms, and the SVD rule finds no pole
     stack = np.array([[[2.0, 1.0], [1.0, 3.0]]], dtype=complex) * np.array([1e200, 1.0])[:, None, None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = invert_or_refuse_poles(stack, "A")
     assert got.tobytes() == np.linalg.inv(stack).tobytes()
-    assert svd_rule_calls == [(1,)]
+    assert svd_rule_calls == [(2,)]
 
 
 # The same rule on one matrix (n, n), the form of the scalar weyl_m and
