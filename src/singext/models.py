@@ -29,11 +29,12 @@ the defect basis h_j = (A0 + I)^-1 psi_j:
     p(t) = t^alpha, xi(t) = sqrt(t).  The delta expands over a wavelet
     eigenbasis with eigenvalue lambda_N = p^(alpha(1-N)) and coefficient
     c_N = p^(-N/2) / (lambda_N + 1) at scale N, p-1 wavelets per scale;
-    U_{p^m} shifts N by m: Gram data are series in c_N c_(N+m), and
-    E(z) = (p-1) sum_N c_N^2 / (lambda_N - z), from which the model
-    assembles Mhat(z) = w (overlap + w E(z)), w = z + 1.  For alpha > 1
-    the closed series M(z) = -1 / ((p-1) sum_N p^-N / (lambda_N - z)) is
-    attached for cross-checks.  All three series run over one table of
+    U_{p^m} shifts N by m: Gram data are series in c_N c_(N+m),
+    E(z) = (p-1) sum_N c_N^2 / (lambda_N - z), and
+    Mhat(z) = (z+1) (p-1) sum_N p^-N / ((lambda_N + 1) (lambda_N - z)),
+    which is (z+1) (overlap + (z+1) E(z)) summed term by term.  For
+    alpha > 1 the closed series M(z) = -1 / ((p-1) sum_N p^-N / (lambda_N - z))
+    is attached for cross-checks.  All four series run over one table of
     scales built once per (p, alpha) and check a tail bound.
 
 ``ScalingInvariant3D`` (alpha in (1, 2), channel Gram (m_i, m_j))
@@ -57,7 +58,7 @@ the p-adic scale table; no build integrates.  Each backend gives
 Mhat(z), the Weyl function of the plain defect triplet, at one z
 (``SpectralModel.m_hat``): the closed form ``radial_m_hat`` for the
 point and scaling models, diag((1-u)/(2u), (1-u)/2) with u = sqrt(-z)
-for the one-dim model, and the series E(z) for the p-adic model.  The
+for the one-dim model, and its own series for the p-adic model.  The
 closed forms also come over an array of z (``m_hat_grid``, from
 ``radial_m_hat_grid`` for the point and scaling models); the p-adic
 model has no array form, and ``weyl_m_grid`` loops over its ``m_hat``.
@@ -458,14 +459,15 @@ SERIES_CAP = 400
 
 @functools.lru_cache(maxsize=32)
 def _padic_scales(p: int, alpha: float) -> np.ndarray:
-    """Read-only rows lambda_N, c_N^2, p^-N and c_N over the scales N = -H..H,
-    built once: H is at most ``SERIES_CAP`` and ends where lambda_N or
-    p^-N would leave the normal floats."""
+    """Read-only rows lambda_N, c_N^2, p^-N, c_N and p^-N / (lambda_N + 1)
+    over the scales N = -H..H, built once: H is at most ``SERIES_CAP`` and
+    ends where lambda_N or p^-N would leave the normal floats."""
     half = min(SERIES_CAP, int(700.0 / (max(alpha, 1.0) * math.log(p))) - 1)
     n, pf = np.arange(-half, half + 1.0), float(p)
     lam = pf ** (alpha * (1.0 - n))
+    p_n = pf ** -n
     c = pf ** (-n / 2.0) / (lam + 1.0)
-    table = np.array([lam, c ** 2, pf ** -n, c])
+    table = np.array([lam, c ** 2, p_n, c, p_n / (lam + 1.0)])
     table.setflags(write=False)
     return table
 
@@ -498,23 +500,31 @@ def padic_gram(p: int, alpha: float, m: int) -> float:
     return total
 
 
-def _padic_series(p: int, alpha: float, z: complex, closed: bool,
-                  overlap: float | None = None) -> complex:
-    """(p - 1) sum_N w_N / (lambda_N - z), w_N = p^-N if ``closed`` else c_N^2.
+# The z-series: a row w_N of the scale table, k with a = k alpha - 1 the
+# rate p^(a N) at which its terms fall as N -> -inf, and the factor by
+# which p^-N falls across its window.
+E_SERIES = (1, 3.0, 1e17)        # c_N^2: E(z)
+CLOSED_SERIES = (2, 1.0, 1e17)   # p^-N: the closed Weyl series
+M_HAT_SERIES = (4, 2.0, 1e20)    # p^-N / (lambda_N + 1): Mhat(z) / (z + 1)
+
+
+def _padic_series(p: int, alpha: float, z: complex, series) -> complex:
+    """(p - 1) sum_N w_N / (lambda_N - z), w_N the scale-table row of
+    ``series`` (``E_SERIES``, ``CLOSED_SERIES`` or ``M_HAT_SERIES``).
 
     Past n_z, the first scale with lambda_N <= |z|/2, the terms fall like
-    p^-N; as N -> -inf like p^(a N), a = alpha - 1 if ``closed`` else
-    3 alpha - 1.  The sum runs over 17 decades past scales 0 and n_z at
-    these rates; ``ConvergenceError`` unless its edge terms and the
-    geometric bounds of both tails stay within ``SERIES_RTOL`` of it, or,
-    given the ``overlap``, within ``SERIES_RTOL`` of Mhat (``_m_hat_within``).
+    p^-N (w_N <= p^-N); as N -> -inf like p^(a N).  The sum runs over
+    the series' reach past scales 0 and n_z at these rates;
+    ``ConvergenceError`` unless its edge terms and the geometric bounds
+    of both tails stay within ``SERIES_RTOL`` of it.
     """
-    lam, c2, p_n, _ = _padic_scales(p, alpha)
-    w, a = (p_n, alpha - 1.0) if closed else (c2, 3.0 * alpha - 1.0)
+    row, k, reach = series
+    table = _padic_scales(p, alpha)
+    lam, w, a = table[0], table[row], k * alpha - 1.0
     half, log_p, size = len(lam) // 2, math.log(p), abs(z)
     n_z = half if not size else min(half, max(-half, math.ceil(
         1.0 - (math.log(size) - math.log(2.0)) / (alpha * log_p))))
-    span = math.log(1e17) / log_p  # the scales over which p^-N falls 17 decades
+    span = math.log(reach) / log_p  # the scales over which p^-N falls by reach
     lo = max(-half, min(n_z, 0) - math.ceil(span / a) - 2)
     hi = min(half, max(n_z, 0) + math.ceil(span) + 2)
     lam, w = lam[lo + half:hi + half + 1], w[lo + half:hi + half + 1]
@@ -531,37 +541,31 @@ def _padic_series(p: int, alpha: float, z: complex, closed: bool,
     tail += (2.0 * p ** (a * (lo - 2) - 1.0) / (1.0 - p ** -a)
              if lam[0] >= 2.0 * size else math.inf)
     bound = (p - 1) * (abs(terms[0]) + abs(terms[-1]) + tail)
-    if not bound <= SERIES_RTOL * abs(total) and not (
-            overlap is not None and _m_hat_within(bound, total, z, overlap)):
+    if not bound <= SERIES_RTOL * abs(total):
         raise ConvergenceError(f"p-adic series at z = {z!r} not within {SERIES_RTOL:g}")
     return total
 
 
-def _m_hat_within(bound, total, z, overlap):
-    """Whether the bound on E, carried to Mhat = w (overlap + w E) with
-    w = z + 1 as |w|^2 bound, is within ``SERIES_RTOL`` of |Mhat|: next to
-    a zero of E between two lambda_N, Mhat is regular and the series
-    converges, though its bound exceeds 1e-15 of |E|."""
-    w = z + 1.0
-    return abs(w) ** 2 * bound <= SERIES_RTOL * abs(w * (overlap + w * total))
+def padic_resolvent(p: int, alpha: float, z: complex) -> complex:
+    """((A0 - z)^-1 h, h) as the series (p - 1) sum_N c_N^2 / (lambda_N - z),
+    refused unless its bound is within ``SERIES_RTOL`` of it."""
+    return _padic_series(p, alpha, complex(z), E_SERIES)
 
 
-def padic_resolvent(p: int, alpha: float, z: complex,
-                    overlap: float | None = None) -> complex:
-    """((A0 - z)^-1 h, h) as the series (p - 1) sum_N c_N^2 / (lambda_N - z).
-
-    Refused unless its bound is within ``SERIES_RTOL`` of E; given the
-    ``overlap`` (h, h), also where it is within ``SERIES_RTOL`` of Mhat,
-    for the model's ``m_hat``.
-    """
-    return _padic_series(p, alpha, complex(z), closed=False, overlap=overlap)
+def padic_m_hat(p: int, alpha: float, z: complex) -> complex:
+    """Mhat(z) = (z + 1) (p - 1) sum_N p^-N / ((lambda_N + 1) (lambda_N - z)),
+    the Weyl function of the plain triplet: ``PoleError`` at an eigenvalue
+    lambda_N, ``ConvergenceError`` where the series' bound exceeds
+    ``SERIES_RTOL`` of it."""
+    z = complex(z)
+    return (z + 1.0) * _padic_series(p, alpha, z, M_HAT_SERIES)
 
 
 def padic_closed_form_m(p: int, alpha: float) -> Callable[[complex], np.ndarray]:
     """Closed series form of the Weyl function, valid for alpha > 1."""
     if alpha <= 1.0:
         raise ValueError("the closed Weyl series converges only for alpha > 1")
-    return lambda z: np.array([[-1.0 / _padic_series(p, alpha, complex(z), closed=True)]])
+    return lambda z: np.array([[-1.0 / _padic_series(p, alpha, complex(z), CLOSED_SERIES)]])
 
 
 def build_padic_model(p: int, alpha: float) -> ModelSpec:
@@ -588,21 +592,12 @@ def build_padic_model(p: int, alpha: float) -> ModelSpec:
     )
     gram = GramFunction(
         {float(p) ** m: [[padic_gram(p, alpha, m)]] for m in GEOMETRIC_EXPONENTS})
-    closed = padic_closed_form_m(p, alpha) if alpha > 1.0 else None
-    gram_0 = padic_gram(p, alpha, 0)
-    overlap = np.array([[gram_0]], dtype=complex)
-
-    def m_hat(z):  # w (overlap + w E(z)), w = z + 1, over the series E
-        w = z + 1.0
-        e = padic_resolvent(p, alpha, z, overlap=gram_0)
-        return w * (overlap + w * np.array([[e]]))
-
     spectral = SpectralModel(
         n=1,
-        m_hat=m_hat,
-        overlap=overlap,
+        m_hat=lambda z: np.array([[padic_m_hat(p, alpha, z)]]),
+        overlap=[[padic_gram(p, alpha, 0)]],
         psi_in_Hminus1=(alpha > 1.0,),
-        closed_form_M=closed,
+        closed_form_M=padic_closed_form_m(p, alpha) if alpha > 1.0 else None,
     )
     return ModelSpec(KIND_PADIC, {"p": p, "alpha": alpha}, family, gram,
                      spectral, ("delta",))
@@ -641,9 +636,9 @@ def gram_limit_at_one(alpha: float) -> float:
 
 
 def scaling_constants(alpha: float) -> tuple[float, float]:
-    """``c_alpha`` and ``h_norm_integral`` in closed form, pi / (2 sin(pi (2 - a)))
-    and (1 - a) pi / (2 sin(pi a)), the sine's argument reduced to (0, pi/2]."""
-    c_val = 0.5 * math.pi / math.sin(math.pi * min(alpha - 1.0, 2.0 - alpha))
+    """``c_alpha`` and ``h_norm_integral`` in closed form, c = pi / (2 sin(pi (2 - a)))
+    = -K/2 of ``_radial_constants`` and (a - 1) c."""
+    c_val = -_radial_constants(alpha)[1]
     return c_val, (alpha - 1.0) * c_val
 
 

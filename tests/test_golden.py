@@ -39,3 +39,10 @@ def test_close_roots_at_a_small_scale_are_recorded_apart():
     got = json.loads(case["stdout"])["output"]
     assert len(got) == 2
     assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want)), (got, want)
+
+
+def test_padic_weyl_at_large_z_is_recorded_on_the_closed_series():
+    # p-adic (2, 3/2) at z = -1e6: M from R + Mhat against the closed Weyl
+    # series; the assembly of Mhat from E(z) read 8.5e-9 here
+    case = next(c for c in CASES if "--z=-1e6,0" in c["argv"])
+    assert json.loads(case["stdout"])["output"]["closed_form_residual"] <= 1e-12

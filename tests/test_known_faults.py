@@ -54,6 +54,9 @@ def test_point_d1_weyl_m_keeps_its_accuracy_at_large_z(point_models, z):
 
 
 # The rest of ROADMAP item 2's large-|z| table, at the same 1e-12 relative.
+# The p-adic Mhat is its own series, (z + 1) (p - 1) sum_N p^-N /
+# ((lambda_N + 1) (lambda_N - z)); its assembly w (overlap + w E(z)),
+# w = z + 1, from the series E cancelled as |z| grew.
 
 @pytest.mark.parametrize("z", [1e4j, -1e6 + 0j])
 def test_one_dim_delta_channel_keeps_its_accuracy_at_large_z(one_dim, z):
@@ -65,8 +68,6 @@ def test_one_dim_delta_channel_keeps_its_accuracy_at_large_z(one_dim, z):
     assert abs(got - exact) <= 1e-12 * abs(exact), abs(got - exact) / abs(exact)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the E(z) route of the "
-                   "p-adic (2, 3/2) model loses relative accuracy at large |z|")
 @pytest.mark.parametrize("z", [-1e6 + 0j, 1e8j])
 def test_padic_weyl_m_keeps_its_accuracy_at_large_z(padic, padic_r, z):
     exact = padic_closed_form_m(2, 1.5)(z)[0, 0]
@@ -74,9 +75,9 @@ def test_padic_weyl_m_keeps_its_accuracy_at_large_z(padic, padic_r, z):
     assert abs(got - exact) <= 1e-12 * abs(exact), abs(got - exact) / abs(exact)
 
 
-# At |x| ~ 1e3 to 1e4 the cancellation of item 2 already moves the
-# eigenvalues of the p-adic model.  The closed Weyl series is 1.8e-16 off a
-# 40-digit mpmath sum at X0; the root below is B = Re M(X0).
+# At |x| ~ 1e3 to 1e4 the assembly from E was already 2.1e-10 off and
+# moved the root planted at X0 by 3.8e-10.  The closed Weyl series is
+# 1.8e-16 off a 40-digit mpmath sum at X0; the root below is B = Re M(X0).
 PADIC_5_X0 = -7284.9062957481565
 
 
@@ -87,16 +88,12 @@ def padic_5():
     return model.spectral, r, padic_closed_form_m(5, 2.5)(PADIC_5_X0)[0, 0]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: "
-                   "the p-adic (5, 5/2) Mhat w (overlap + w E(x)) is 2.1e-10 off at X0")
 def test_padic_weyl_m_is_accurate_at_moderate_negative_x(padic_5):
     spectral, r, exact = padic_5
     got = sx.weyl_m(spectral, r, PADIC_5_X0).matrix[0, 0]
     assert abs(got - exact) <= 1e-12 * abs(exact), abs(got - exact) / abs(exact)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: "
-                   "the p-adic (5, 5/2) root planted at X0 comes out 3.8e-10 off")
 def test_padic_eigenvalue_is_accurate_at_moderate_negative_x(padic_5):
     spectral, r, exact = padic_5
     roots = sx.find_negative_eigenvalues(spectral, r, [[exact.real]], (-1e4, -1e-4))

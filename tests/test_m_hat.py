@@ -1,11 +1,12 @@
 """Mhat(z), the Weyl function of the plain defect triplet, on every backend.
 
 The point, scaling and one-dim backends give Mhat in closed form; the
-p-adic backend assembles it from its series E(z).  The scalar E(z)
-functions of ``models`` are the independent oracle: Mhat(z) must equal
+p-adic backend sums it as its own series.  The scalar E(z) functions of
+``models`` are the independent oracle: Mhat(z) must equal
 (z + 1) (overlap + (z + 1) E(z)) wherever that sum does not cancel.  At
 large |z| it does cancel, and mpmath's quadrature of the same integral
-is the reference instead.
+(for the p-adic series, its 40-digit sum in ``test_padic_series``) is
+the reference instead.
 """
 
 import functools
@@ -60,6 +61,15 @@ def test_closed_m_hat_is_the_assembly_from_the_e_oracle(name):
         got = spectral.m_hat(complex(z))
         assert got.shape == (spectral.n, spectral.n)
         assert relative(got, want) <= 1e-13, z
+
+
+def test_padic_m_hat_is_the_assembly_from_the_e_oracle():
+    # c_N^2 (lambda_N + 1) = p^-N / (lambda_N + 1) makes the two series one
+    spectral, e = backend("p-adic 2,3/2")
+    for z in MODERATE:
+        w = complex(z) + 1.0
+        want = w * (spectral.overlap + w * e(complex(z)))
+        assert relative(spectral.m_hat(complex(z)), want) <= 1e-13, z
 
 
 @functools.cache

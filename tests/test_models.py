@@ -275,6 +275,17 @@ def test_scaling_constants_match_mpmath(alpha):
     assert spec.beta_alpha == pytest.approx(1.0 / (alpha - 1.0), rel=1e-15)
 
 
+def test_scaling_constant_is_the_radial_constant_bit_for_bit():
+    # c = pi / (2 sin(pi min(a - 1, 2 - a))) as written out, and -K/2 of the
+    # radial kernel, reduce the sine's argument in different steps; both are
+    # exact (Sterbenz), so the two agree to the bit
+    alphas = np.random.default_rng(7).uniform(1.0, 2.0, 20_000).tolist()
+    alphas += [np.nextafter(1.0, 2.0), np.nextafter(2.0, 1.0), 1.01, 1.5, 1.99, 0.5]
+    for alpha in alphas:
+        want = 0.5 * math.pi / math.sin(math.pi * min(alpha - 1.0, 2.0 - alpha))
+        assert models.scaling_constants(alpha)[0] == want, alpha
+
+
 def test_gram_limit_at_one_oracle():
     # finite-difference oracle: evaluate the quotient at t = 1 +- 1e-6
     for alpha in (1.3, 1.5, 1.9):

@@ -1,14 +1,16 @@
-"""The p-adic series over arrays: E(z), the closed Weyl series, the Gram.
+"""The p-adic series over arrays: Mhat(z), E(z), the closed Weyl series, the Gram.
 
+``models.padic_m_hat`` sums (z+1) (p-1) sum_N p^-N / ((lambda_N+1) (lambda_N - z)),
 ``models.padic_resolvent`` sums (p-1) sum_N c_N^2 / (lambda_N - z),
 ``models.padic_closed_form_m`` inverts (p-1) sum_N p^-N / (lambda_N - z)
 and ``models.padic_gram`` sums (p-1) sum_N c_N c_(N+m), all over the
 scales N of a table built once per (p, alpha) and truncated by the
 decay of the terms.  Each is checked against the same bilateral series
-summed in mpmath at 40 digits, and the refusals of the z-series (a tail
-bound above 1e-15 of the sum) against their divergence at z = 0.
+summed at 40 digits, and the refusals of the z-series (a tail bound
+above 1e-15 of the sum) against their divergence at z = 0.
 """
 
+import decimal
 import functools
 import math
 
@@ -30,17 +32,18 @@ REL_TOL = 1e-14
 
 
 @functools.cache
-def mpmath_series(p: int, alpha: float, z: complex, closed: bool) -> complex:
-    """(p-1) sum_N w_N / (lambda_N - z) at 40 digits, w_N = p^-N or c_N^2,
-    each direction summed until five terms in a row fall below 1e-35 of
-    the sum (``None`` when that takes more than 3000 terms)."""
+def mpmath_series(p: int, alpha: float, z: complex, weight: str) -> complex:
+    """(p-1) sum_N w_N / (lambda_N - z) at 40 digits, w_N = c_N^2 ("e"),
+    p^-N ("closed") or p^-N / (lambda_N + 1) ("m_hat", the sum then times
+    z + 1), each direction summed until five terms in a row fall below
+    1e-35 of the sum (``None`` when that takes more than 3000 terms)."""
     with mpmath.workdps(40):
         pm, am, zm = mpmath.mpf(p), mpmath.mpf(alpha), mpmath.mpc(z)
+        power = {"e": 2, "closed": 0, "m_hat": 1}[weight]
 
         def term(n):
             lam = pm ** (am * (1 - n))
-            w = pm ** -n if closed else pm ** (-n) / (lam + 1) ** 2
-            return w / (lam - zm)
+            return pm ** -n / ((lam + 1) ** power * (lam - zm))
 
         total = term(0)
         for step in (1, -1):
@@ -52,7 +55,7 @@ def mpmath_series(p: int, alpha: float, z: complex, closed: bool) -> complex:
                 total += t
                 small = small + 1 if abs(t) < mpmath.mpf(10) ** -35 * abs(total) else 0
                 n += step
-        return complex((p - 1) * total)
+        return complex((p - 1) * (zm + 1 if weight == "m_hat" else 1) * total)
 
 
 @functools.cache
@@ -73,6 +76,42 @@ def mpmath_gram(p: int, alpha: float, m: int) -> mpmath.mpf:
         return (p - 1) * total
 
 
+@functools.cache
+def _scale(p: int, alpha: float, n: int) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """lambda_N and p^-N / (lambda_N + 1) at scale n, from mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        pm = mpmath.mpf(p)
+        lam = pm ** (mpmath.mpf(alpha) * (1 - n))
+        return (decimal.Decimal(mpmath.nstr(lam, 50)),
+                decimal.Decimal(mpmath.nstr(pm ** -n / (lam + 1), 50)))
+
+
+def direct_m_hat(p: int, alpha: float, x: float) -> float:
+    """Mhat(x) = (x+1) (p-1) sum_N p^-N / ((lambda_N+1) (lambda_N - x)) at a
+    real x, summed directly at 40 digits: each direction until five terms
+    in a row fall below 1e-35 of the sum, which must take at most 3000
+    terms.  The sum runs in ``decimal``,
+    whose C arithmetic keeps a grid of a thousand points cheap where
+    mpmath's would dominate the test's run time."""
+    big_x = decimal.Decimal(x)
+
+    def term(n):
+        lam, w = _scale(p, alpha, n)
+        return w / (lam - big_x)
+
+    with decimal.localcontext(decimal.Context(prec=40)):
+        total = term(0)
+        for step in (1, -1):
+            n, small = step, 0
+            while small < 5:
+                assert abs(n) <= 3000, (p, alpha, x)
+                t = term(n)
+                total += t
+                small = small + 1 if abs(t) < decimal.Decimal("1e-35") * abs(total) else 0
+                n += step
+        return float((p - 1) * (big_x + 1) * total)
+
+
 def relative_error(got: complex, want: complex) -> float:
     return abs(got - want) / abs(want)
 
@@ -80,7 +119,7 @@ def relative_error(got: complex, want: complex) -> float:
 @pytest.mark.parametrize("p, alpha", MODELS)
 @pytest.mark.parametrize("z", POINTS, ids=repr)
 def test_resolvent_matches_mpmath(p, alpha, z):
-    want = mpmath_series(p, alpha, z, closed=False)
+    want = mpmath_series(p, alpha, z, "e")
     assert relative_error(models.padic_resolvent(p, alpha, z), want) <= REL_TOL
 
 
@@ -95,7 +134,7 @@ def test_gram_matches_mpmath(p, alpha):
 @pytest.mark.parametrize("p, alpha", [m for m in MODELS if m[1] > 1.0])
 @pytest.mark.parametrize("z", POINTS, ids=repr)
 def test_closed_weyl_series_matches_mpmath(p, alpha, z):
-    want = -1.0 / mpmath_series(p, alpha, z, closed=True)
+    want = -1.0 / mpmath_series(p, alpha, z, "closed")
     got = models.padic_closed_form_m(p, alpha)(z)
     assert got.shape == (1, 1)
     assert relative_error(got[0, 0], want) <= REL_TOL
@@ -111,10 +150,12 @@ off_axis = st.builds(lambda r, theta: r * complex(math.cos(theta), math.sin(thet
 @given(model=st.sampled_from(MODELS), z=off_axis)
 def test_series_match_mpmath_off_the_axis(model, z):
     p, alpha = model
-    want = mpmath_series(p, alpha, z, closed=False)
+    want = mpmath_series(p, alpha, z, "e")
     assert relative_error(models.padic_resolvent(p, alpha, z), want) <= REL_TOL
+    want = mpmath_series(p, alpha, z, "m_hat")
+    assert relative_error(models.padic_m_hat(p, alpha, z), want) <= REL_TOL
     if alpha > 1.0:
-        want = -1.0 / mpmath_series(p, alpha, z, closed=True)
+        want = -1.0 / mpmath_series(p, alpha, z, "closed")
         got = models.padic_closed_form_m(p, alpha)(z)[0, 0]
         assert relative_error(got, want) <= REL_TOL
 
@@ -134,7 +175,7 @@ def test_closed_weyl_series_refused_at_zero(p, alpha):
 
 @pytest.mark.parametrize("p, alpha", [(3, 0.75), (2, 0.75), (7, 0.55)])
 def test_resolvent_finite_at_zero_below_one(p, alpha):
-    want = mpmath_series(p, alpha, 0j, closed=False)
+    want = mpmath_series(p, alpha, 0j, "e")
     got = models.padic_resolvent(p, alpha, 0.0)
     assert got.imag == 0.0
     assert relative_error(got, want) <= REL_TOL
@@ -157,15 +198,15 @@ def test_resolvent_at_an_eigenvalue_is_a_pole(p, alpha):
 
 @pytest.mark.parametrize("p, alpha", MODELS + [(7, 0.55), (11, 3.0)])
 def test_window_stays_in_the_normal_range(p, alpha):
-    lam, c2, p_minus_n, c = models._padic_scales(p, alpha)
+    lam, c2, p_minus_n, c, m_hat_w = models._padic_scales(p, alpha)
     half = len(lam) // 2
     assert 0 < half <= models.SERIES_CAP
-    for a in (lam, c2, p_minus_n, c):
+    for a in (lam, c2, p_minus_n, c, m_hat_w):
         assert a.shape == (2 * half + 1,)
         assert not a.flags.writeable
         assert np.isfinite(a).all()
-    assert lam.min() >= np.finfo(float).tiny
-    assert p_minus_n.min() >= np.finfo(float).tiny
+    for a in (lam, p_minus_n, m_hat_w):
+        assert a.min() >= np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +270,22 @@ def test_real_axis_grid_refuses_where_the_scalar_series_does(p, alpha):
 
 
 # ---------------------------------------------------------------------------
-# Mhat next to a zero of E(x) between two eigenvalues lambda_N
+# Mhat as its own series
 # ---------------------------------------------------------------------------
 
-# The series converges there, but its edge-and-tail bound exceeds 1e-15 of
-# |E|, which vanishes: E is refused.  Mhat = w (overlap + w E), w = x + 1,
-# is regular, and the model accepts the sum where the bound carried to it,
-# |w|^2 bound, is within 1e-15 of |Mhat|.
+@pytest.mark.parametrize("p, alpha", MODELS)
+@pytest.mark.parametrize("z", POINTS, ids=repr)
+def test_m_hat_matches_mpmath(p, alpha, z):
+    want = mpmath_series(p, alpha, z, "m_hat")
+    assert relative_error(models.padic_m_hat(p, alpha, z), want) <= REL_TOL
+    if not z.imag:
+        assert relative_error(direct_m_hat(p, alpha, z.real), want) <= 1e-16
+
+
+# Between two eigenvalues lambda_N, E(x) has zeros.  The E series converges
+# there, but its edge-and-tail bound exceeds 1e-15 of |E|, which vanishes:
+# E is refused.  Mhat is regular there, and its own series is accepted.
 NEAR_ZERO_OF_E = [(2, 1.5, 0.7857754080156192), (3, 0.75, 10.5279)]
-
-
-def mpmath_m_hat(p, alpha, x):
-    w = x + 1.0
-    return w * (float(mpmath_gram(p, alpha, 0))
-                + w * mpmath_series(p, alpha, complex(x), closed=False))
 
 
 @pytest.mark.parametrize("p, alpha, x", NEAR_ZERO_OF_E)
@@ -251,44 +294,53 @@ def test_m_hat_is_accepted_next_to_a_zero_of_e(p, alpha, x):
         models.padic_resolvent(p, alpha, x)
     spec = sx.build_padic_model(p, alpha)
     r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix[0, 0]
-    want = mpmath_m_hat(p, alpha, x)
+    want = direct_m_hat(p, alpha, x)
     assert relative_error(spec.spectral.m_hat(x)[0, 0], want) <= REL_TOL
     want_m = -1.0 / (r + want)
     assert relative_error(sx.weyl_m(spec.spectral, r, x).matrix[0, 0], want_m) <= REL_TOL
-    # through weyl_m_grid, next to a point that passes E's own rule
+    # through weyl_m_grid, next to a point where E passes its own rule
     grid = sx.weyl_m_grid(spec.spectral, r, [x, 1.01 * x])
     assert relative_error(grid[0, 0, 0], want_m) <= REL_TOL
-    want_m = -1.0 / (r + mpmath_m_hat(p, alpha, 1.01 * x))
+    want_m = -1.0 / (r + direct_m_hat(p, alpha, 1.01 * x))
     assert relative_error(grid[1, 0, 0], want_m) <= REL_TOL
 
 
 @pytest.mark.parametrize("p, alpha", MODELS)
 def test_m_hat_keeps_e_rule_values_bit_for_bit(p, alpha):
-    # where E passes its own rule, Mhat is w (overlap + w E) as before; where
-    # E is refused, Mhat is refused too or meets the rule carried to it
+    # Mhat, summed as its own series, meets a direct 40-digit sum of that
+    # series to 1e-12 over the grid where it was once assembled from E, and
+    # refuses what the E rule refused; weyl_m_grid, which loops over m_hat,
+    # equals -(1 + Mhat)^-1 bit for bit
     spec = sx.build_padic_model(p, alpha)
-    overlap = spec.spectral.overlap
     z = np.concatenate([[0.0], -np.logspace(-6, 4, 200),
                         np.logspace(-3, 3, 800)]).astype(complex)
     refused = []
     for zk in z.tolist():
         try:
-            e = models.padic_resolvent(p, alpha, zk)
+            got = spec.spectral.m_hat(zk)
         except PoleError:
             continue
         except ConvergenceError:
-            try:
-                got = spec.spectral.m_hat(zk)[0, 0]
-            except ConvergenceError:
-                refused.append(zk)
-                continue
-            assert relative_error(got, mpmath_m_hat(p, alpha, zk.real)) <= REL_TOL, zk
+            refused.append(zk)
             continue
-        w = zk + 1.0
-        want = w * (overlap + w * np.array([[e]]))
-        assert _bits(spec.spectral.m_hat(zk)) == want.tobytes(), zk
-        # and through weyl_m_grid, which loops over m_hat
-        got = sx.weyl_m_grid(spec.spectral, 1.0, [zk])[0]
-        assert got.tobytes() == (-(1.0 / (1.0 + want))).tobytes(), zk
-    # E diverges at 0 for alpha >= 1, and so does Mhat
+        assert relative_error(got[0, 0], direct_m_hat(p, alpha, zk.real)) <= 1e-12, zk
+        grid = sx.weyl_m_grid(spec.spectral, 1.0, [zk])[0]
+        assert grid.tobytes() == (-(1.0 / (1.0 + got))).tobytes(), zk
+    # the series diverges at 0 for alpha >= 1, and nowhere else on the grid
     assert refused == ([0j] if alpha >= 1.0 else [])
+
+
+def test_m_hat_and_search_make_no_e_call(monkeypatch):
+    # E(z) is an oracle: neither the model's Mhat nor its search sums it
+    calls = []
+    e_series = models.padic_resolvent
+    monkeypatch.setattr(models, "padic_resolvent",
+                        lambda *args, **kw: calls.append(args) or e_series(*args, **kw))
+    spec = sx.build_padic_model(2, 1.5)
+    r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix
+    for z in (-1.0, -1e6, 0.5, 0.3 + 0.8j, 1e8j):
+        spec.spectral.m_hat(z)
+    b = sx.weyl_m(spec.spectral, r, -1.0).matrix.real
+    roots = sx.find_negative_eigenvalues(spec.spectral, r, b, (-3.0, -0.3))
+    assert len(roots) == 1 and abs(roots[0] + 1.0) <= 1e-12, roots
+    assert calls == []
