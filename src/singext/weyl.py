@@ -254,8 +254,9 @@ def check_weyl_homogeneity(weyl_fn: Callable[[complex], np.ndarray],
 
 
 def hermitian_imag_min_eig(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the Herglotz part (M - M*)/(2i) of a checked matrix."""
-    return float(np.linalg.eigvalsh((m - m.conj().T) / 2j).min())
+    """Smallest eigenvalue of the Herglotz part (M - M*)/(2i) of a checked
+    matrix, or the smallest over a stack (..., n, n) of them."""
+    return float(np.linalg.eigvalsh((m - m.conj().swapaxes(-2, -1)) / 2j).min())
 
 
 def krein_correction(m_at_z, coupling) -> np.ndarray:

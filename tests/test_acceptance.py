@@ -51,3 +51,36 @@ def test_root_oracle_is_the_sign_change_rule(scaling, scaling_r):
                              [m.min() - 1.0, m.max() + 1.0, 0.0]])
         got = acceptance.negative_axis_root_oracle(m, bs)
         assert got.tolist() == [_sign_change_rule(m, b) for b in bs.tolist()]
+
+
+def _count_calls(monkeypatch, targets):
+    """Record the name of every call to the (module, name) targets."""
+    calls = []
+    for where, fn in targets:
+        real = getattr(where, fn)
+        monkeypatch.setattr(where, fn,
+                            lambda *a, fn=fn, real=real, **k: calls.append(fn) or real(*a, **k))
+    return calls
+
+
+def test_criterion_7_makes_one_scalar_s_matrix_and_one_solve_per_n(monkeypatch):
+    # the unitarity draws go to s_matrix_grid grouped by n, a LAPACK solve
+    # for each n of 2 to 4 and the elementwise quotient for n = 1; the
+    # contractivity sweep's 1x1 calls take the quotient; only S(0) = I
+    # is a scalar s_matrix call
+    calls = _count_calls(monkeypatch, [(acceptance, "s_matrix"), (np.linalg, "solve")])
+    assert acceptance.criterion_7().passed
+    assert calls.count("s_matrix") == 1
+    assert calls.count("solve") <= 3
+
+
+def test_criterion_5_makes_500_weyl_m_calls_and_one_eigvalsh_per_backend(monkeypatch):
+    # verify's weyl_evals_per_s counts these 500 scalar weyl_m calls;
+    # each backend's Herglotz check is one stacked eigvalsh, counted once
+    # the backends are built (each build checks its overlap with one)
+    backends = acceptance._weyl_backends()
+    monkeypatch.setattr(acceptance, "_weyl_backends", lambda: backends)
+    calls = _count_calls(monkeypatch, [(acceptance, "weyl_m"), (np.linalg, "eigvalsh")])
+    assert acceptance.criterion_5().passed
+    assert calls.count("weyl_m") == 500
+    assert calls.count("eigvalsh") == 5

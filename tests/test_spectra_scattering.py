@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -289,10 +290,14 @@ def test_realization_spec_validates_dimensions():
 # scattering matrix on a z grid ----------------------------------------------
 
 def cayley_one_point(b, z):
-    """S(z) by one 2-D solve, the scalar arithmetic the grid must keep."""
+    """S(z) by the scalar arithmetic the grid must keep: the quotient of
+    the two entries for n = 1, one 2-D solve for n >= 2."""
     eye = np.eye(b.shape[0])
     z = complex(z)
-    return np.linalg.solve((eye + 2j * z * b).T, (eye - 2j * z * b).T).T
+    numer, denom = eye - 2j * z * b, eye + 2j * z * b
+    if b.shape[0] == 1:
+        return numer / denom
+    return np.linalg.solve(denom.T, numer.T).T
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -310,11 +315,38 @@ def test_smatrix_grid_matches_scalar_bit_for_bit(n, hermitian):
             assert np.array_equal(s, sx.s_matrix(b, z).matrix)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_smatrix_grid_over_a_stack_of_couplings_is_the_per_coupling_call(n):
+    rng = np.random.default_rng(200 + n)
+    raw = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    bs = (raw + raw.conj().swapaxes(-2, -1)) / 2
+    zs = np.concatenate([rng.uniform(-10, 10, 2),
+                         rng.uniform(-10, 10, 3) + 1j * rng.uniform(-10, 10, 3)])
+    paired = sx.s_matrix_grid(bs, zs)
+    for b, z, s in zip(bs, zs, paired):
+        assert np.array_equal(s, sx.s_matrix_grid(b, z))
+        assert np.array_equal(s, sx.s_matrix(b, z).matrix)
+    crossed = sx.s_matrix_grid(bs[:, None], zs)
+    for b, row in zip(bs, crossed):
+        assert np.array_equal(row, sx.s_matrix_grid(b, zs))
+
+
 @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
 def test_smatrix_grid_shape(shape):
     b = np.array([[0.7, 0.1], [0.1, -0.3]])
     z = np.full(shape, 0.4 + 0.9j)
     assert sx.s_matrix_grid(b, z).shape == shape + (2, 2)
+
+
+@pytest.mark.parametrize("lead, z_shape, shape", [
+    ((5,), (5,), (5,)), ((7, 1, 1), (20, 20), (7, 20, 20)),
+    ((), (0,), (0,)), ((3, 1), (0,), (3, 0))])
+@pytest.mark.parametrize("n", [1, 2])
+def test_smatrix_grid_stack_shape(lead, z_shape, shape, n):
+    # the couplings' leading shape broadcasts against the shape of z
+    b = np.array([[0.7, 0.1], [0.1, -0.3]])[:n, :n]
+    z = np.full(z_shape, 0.4 + 0.9j)
+    assert sx.s_matrix_grid(np.broadcast_to(b, lead + (n, n)), z).shape == shape + (n, n)
 
 
 def test_smatrix_grid_identity_at_zero():
@@ -327,6 +359,50 @@ def test_smatrix_grid_pole_at_one_point():
     z = np.array([[1.0 + 1.0j, 0.5j], [2.0, -1.0 + 0.5j]])
     with pytest.raises(PoleError, match="singular at the requested point"):
         sx.s_matrix_grid(np.array([[1.0]]), z)
+
+
+def test_smatrix_grid_pole_at_one_coupling_and_point():
+    # at z = i/2, I + 2iz b = 1 - b: singular for b = 1 only
+    bs = np.array([0.5, 1.0, 2.0]).reshape(3, 1, 1, 1)
+    z = np.array([1.0, 0.5j])
+    with pytest.raises(PoleError, match="singular at the requested point"):
+        sx.s_matrix_grid(bs, z)
+    assert sx.s_matrix_grid(bs[[0, 2]], z).shape == (2, 2, 1, 1)
+    assert sx.s_matrix_grid(bs, z[:1]).shape == (3, 1, 1, 1)
+
+
+def test_smatrix_grid_refuses_a_bad_stack():
+    with pytest.raises(DimensionMismatchError, match="square"):
+        sx.s_matrix_grid(np.ones((3, 1, 2)), [0.5])
+    bs = np.zeros((3, 2, 2), dtype=complex)
+    bs[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        sx.s_matrix_grid(bs, 0.5)
+
+
+def test_one_channel_quotient_is_the_exact_quotient_to_rounding():
+    # n = 1 takes N / D elementwise; against the quotient of the same
+    # rounded N and D at 200 bits, for real and nonreal z, Hermitian and
+    # non-Hermitian b, and z at the ends of the float range
+    rng = np.random.default_rng(2211)
+    count = 2000
+    b = rng.normal(size=count) * rng.choice([0.01, 1.0, 100.0], size=count)
+    b = b + 1j * rng.normal(size=count) * rng.choice([0.0, 1.0], size=count)
+    z = rng.uniform(-10, 10, count) + 1j * rng.uniform(-10, 10, count) * rng.choice(
+        [0.0, 1.0], size=count)
+    b = np.concatenate([b, [0.5, 0.5, -1.5, 0.5 + 0.5j]])
+    z = np.concatenate([z, [1e300, 1e-300, 1e300 + 1e300j, 1e-300j]])
+    s = sx.s_matrix_grid(b.reshape(-1, 1, 1), z)[:, 0, 0]
+    wb = (2j * z) * b
+    eps = np.finfo(float).eps
+    with mpmath.workprec(200):
+        for got, numer, denom in zip(s.tolist(), (1 - wb).tolist(), (1 + wb).tolist()):
+            exact = mpmath.mpc(numer) / mpmath.mpc(denom)
+            assert abs(mpmath.mpc(got) - exact) <= 4 * eps * abs(exact), (got, numer, denom)
+        # at z = 1e300 and b = 1/2, S = -1 - 2e-300 i; its small imaginary
+        # part is right too
+        exact = mpmath.mpc(1 - 1e300j) / mpmath.mpc(1 + 1e300j)
+        assert abs(s[-4].imag - exact.imag) <= 4 * eps * abs(exact.imag)
 
 
 # every 20th coupling of criterion 7's contractivity sweep, and its last

@@ -169,6 +169,15 @@ def test_weyl_conjugate_symmetry_and_herglotz(padic, padic_r, scaling, scaling_r
             assert hermitian_imag_min_eig(m_up) >= -1e-12
 
 
+def test_herglotz_min_eig_over_a_stack_is_the_least_of_the_matrices():
+    rng = np.random.default_rng(9)
+    stack = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    each = [hermitian_imag_min_eig(m) for m in stack]
+    assert hermitian_imag_min_eig(stack) == min(each)
+    for m, got in zip(stack, each):
+        assert got == float(np.linalg.eigvalsh((m - m.conj().T) / 2j).min())
+
+
 def test_find_negative_eigenvalue_constructed_root(padic, padic_r):
     b = sx.weyl_m(padic.spectral, padic_r, -1.0).matrix.real
     roots = sx.find_negative_eigenvalues(padic.spectral, padic_r, b,
