@@ -91,6 +91,60 @@ def refuse_stacked_poles(mats: np.ndarray, what: str) -> None:
         raise PoleError(f"{what} is singular at the requested point")
 
 
+# numpy's quotient by c + di divides by c + d (d / c) (|c| >= |d|),
+# which overflows near the largest double.  An entry above
+# _RECIPROCAL_MAX in modulus is therefore scaled by _RECIPROCAL_SCALE, a
+# power of two and so exactly, before and after its reciprocal.
+_RECIPROCAL_MAX = 2.0 ** 1020
+_RECIPROCAL_SCALE = 2.0 ** -4
+
+
+def _scaled(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """a times the real s, part by part, so that the signs of zeros stay."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real, out.imag = a.real * s, a.imag * s
+    return out
+
+
+def negated_reciprocal(a, what: str):
+    """-(1 / a) for the entry a of a 1x1 matrix, or entry by entry for an
+    array of such entries, under the pole rule.
+
+    ``a`` is a numpy complex scalar or array; the result has its shape,
+    and a scalar may come back as a 0-d array.  ``ValueError`` if any
+    entry is not finite, else ``PoleError`` if any has |a| <=
+    ``POLE_RTOL``.  That is the rule of ``refuse_stacked_poles`` on a 1x1
+    matrix, |a| <= ``POLE_RTOL`` max(1, |a|), since ``POLE_RTOL`` < 1.
+
+    The quotient is numpy's, which gives the same bits for a scalar and
+    an array.  An entry above 2^1020 in modulus is scaled by 2^-4 around
+    it, so that the quotient neither overflows nor warns; its result lies
+    within a few ulp of the exact one, or within the subnormal spacing.
+
+    Both decisions take numpy's array modulus, which differs from its
+    scalar one (libm's hypot) in the last bit for about a third of the
+    entries.  A scalar whose scalar modulus is more than a factor 2 clear
+    of both thresholds, the common case, takes no array operation.
+    """
+    if not isinstance(a, np.ndarray) and 2.0 * POLE_RTOL < abs(a) < 0.5 * _RECIPROCAL_MAX:
+        # negated after the division: -1.0 / a flips the sign of a zero
+        # imaginary part against LAPACK's inverse
+        return -(1.0 / a)
+    a = np.asarray(a)
+    mod = abs(a)
+    low, high = mod.min(initial=np.inf), mod.max(initial=0.0)  # NaN if any is
+    del mod  # a grid's temporaries are kept to a and the result
+    if not high <= _RECIPROCAL_MAX and not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if low <= POLE_RTOL:
+        raise PoleError(f"{what} is singular at the requested point")
+    if high <= _RECIPROCAL_MAX:
+        out = np.divide(1.0, a, out=np.empty(a.shape, dtype=complex))
+        return np.negative(out, out=out)
+    s = np.where(abs(a) <= _RECIPROCAL_MAX, 1.0, _RECIPROCAL_SCALE)
+    return -_scaled(1.0 / _scaled(a, s), s)
+
+
 def _frobenius_sq(mat: np.ndarray) -> float:
     """Squared Frobenius norm of one matrix, summed in Python floats, which
     overflow to inf and underflow to 0 without a warning."""
@@ -113,9 +167,10 @@ def invert_or_refuse_poles(mats: np.ndarray, what: str) -> np.ndarray:
     is a ``PoleError`` even where the SVD rule would pass.
 
     A stack must be finite; it goes to ``refuse_stacked_poles`` after its
-    one inverse.  A single matrix (n, n), the form of the scalar
-    ``weyl_m`` and ``krein_correction``, is checked here, and takes an
-    SVD only where the inverse itself does not certify it:
+    one inverse.  A single matrix (n, n), the form of ``krein_correction``
+    and of the scalar ``weyl_m`` for n >= 2 (one channel takes
+    ``negated_reciprocal``), is checked here, and takes an SVD only
+    where the inverse itself does not certify it:
     sigma_min(A) >= 1 / ||A^-1||_F and sigma_max(A) <= ||A||_F.  A
     computed inverse is the exact inverse of a matrix within about
     eps ||A|| of A, so a matrix with

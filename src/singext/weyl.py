@@ -33,7 +33,7 @@ from .errors import ConvergenceError, DimensionMismatchError, PoleError
 from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
 from .triplet import (HERMITICITY_RTOL, as_matrix, frozen_matrix,
                       hermitian_within, invert_or_refuse_poles,
-                      refuse_stacked_poles, within)
+                      negated_reciprocal, within)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,8 +168,11 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     """Weyl matrix M(z) = -(R + Mhat(z))^-1 of the regularized triplet.
 
     A singular R + Mhat(z) raises ``PoleError``: the requested point is
-    an eigenvalue of the regularizing extension.  The matrix is
-    ``-np.linalg.inv(R + Mhat(z))`` bit for bit, and
+    an eigenvalue of the regularizing extension.  For one channel the
+    matrix is -(1 / a) for the one entry a of R + Mhat(z), numpy's
+    complex quotient under the pole rule (``triplet.negated_reciprocal``,
+    which ``weyl_m_grid`` shares), with no LAPACK call.  For several it
+    is ``-np.linalg.inv(R + Mhat(z))`` bit for bit, and
     ``triplet.invert_or_refuse_poles`` decides the pole from that one
     inverse, with an SVD only where its certificate does not clear
     R + Mhat(z).  A real z > 0 lies on the continuous spectrum; the
@@ -192,8 +195,11 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
         m_hat = np.atleast_2d(np.asarray(m_hat, dtype=complex))  # a scalar for n = 1
         if m_hat.shape != (model.n, model.n):
             raise ValueError("Mhat(z) has the wrong dimension")
-    m = invert_or_refuse_poles(r + m_hat, "R + Mhat(z)")  # checks finiteness
-    np.negative(m, out=m)
+    if model.n == 1:
+        m = np.array([[negated_reciprocal(r[0, 0] + m_hat[0, 0], "R + Mhat(z)")]])
+    else:
+        m = invert_or_refuse_poles(r + m_hat, "R + Mhat(z)")  # checks finiteness
+        np.negative(m, out=m)
     m.setflags(write=False)  # fresh: frozen in place, stored without a copy
     return WeylEvaluation._fresh(z, m, model.closed_form_M)
 
@@ -205,16 +211,16 @@ def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
     ``weyl_m`` point by point (to rounding; the array form of Mhat(z) may
     round in another order).  A backend without an array form (the
     p-adic series) is looped over its scalar ``m_hat``.  For n = 1 the
-    inverse is the reciprocal of the one entry, with no per-matrix LAPACK
-    call: where R + Mhat(z) is real with +0.0 imaginary parts, as on the
-    negative axis, it equals ``np.linalg.inv`` bit for bit, so a looped
-    backend gives ``weyl_m``'s bytes there; at nonreal z the two agree to
-    a few ulp.  For n > 1 it is ``np.linalg.inv`` of the stack, after which the
-    SVD rule decides the poles (``triplet.invert_or_refuse_poles``).
-    It raises what ``weyl_m`` raises, if it would at any of the points:
-    ``PoleError`` for a singular R + Mhat(z), ``ValueError`` for a z or
-    R + Mhat(z) that is not finite or a Mhat(z) of the wrong shape, and
-    the backend's own errors.
+    inverse is ``weyl_m``'s: the reciprocal of the one entry under the
+    pole rule (``triplet.negated_reciprocal``), the same bits for the
+    same R + Mhat(z), so a looped backend gives ``weyl_m``'s bytes at
+    every z.  For n > 1 it is ``np.linalg.inv`` of the stack, after
+    which the SVD rule decides the poles
+    (``triplet.invert_or_refuse_poles``).  It raises what ``weyl_m``
+    raises, if it would at any of the points: ``PoleError`` for a
+    singular R + Mhat(z), ``ValueError`` for a z or R + Mhat(z) that is
+    not finite or a Mhat(z) of the wrong shape, and the backend's own
+    errors.
     """
     r = as_matrix(reg)
     n = model.n
@@ -232,13 +238,10 @@ def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
     if m_hat.shape != z.shape + (n, n):
         raise ValueError("Mhat(z) has the wrong dimension")
     a = r + m_hat
+    if n == 1:
+        return negated_reciprocal(a, "R + Mhat(z)")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    if n == 1:
-        refuse_stacked_poles(a, "R + Mhat(z)")
-        # negated after the division: -1.0 / a flips the sign of a zero
-        # imaginary part against LAPACK's inverse
-        return -(1.0 / a)
     return -invert_or_refuse_poles(a, "R + Mhat(z)")
 
 

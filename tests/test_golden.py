@@ -11,9 +11,14 @@ import io
 import json
 import pathlib
 
+import mpmath
+import numpy as np
 import pytest
 
+import singext as sx
+from singext import acceptance
 from singext.cli import run
+from test_padic_series import mpmath_series_40
 
 CASES = json.loads((pathlib.Path(__file__).parent / "golden" / "cli.json")
                    .read_text(encoding="utf-8"))
@@ -46,3 +51,24 @@ def test_padic_weyl_at_large_z_is_recorded_on_the_closed_series():
     # series; the assembly of Mhat from E(z) read 8.5e-9 here
     case = next(c for c in CASES if "--z=-1e6,0" in c["argv"])
     assert json.loads(case["stdout"])["output"]["closed_form_residual"] <= 1e-12
+
+
+def test_criterion_9_weyl_values_are_within_2_eps_of_the_40_digit_closed_series():
+    # The recorded "max relative Weyl discrepancy" of criterion 9 is the
+    # distance of its 12 p-adic M values to the closed Weyl series rounded
+    # to doubles.  Against that series summed at 40 digits, the M values
+    # lie within 2 eps (2.7e-16 at most; LAPACK's inverse gave 1.9e-16)
+    spec = sx.build_padic_model(2, 1.5)
+    r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix
+    rng = np.random.default_rng(20240 + 9)
+    zs = [complex(-3.0), complex(-0.5)] + [acceptance._random_nonreal_z(rng) for _ in range(10)]
+    case = next(c for c in CASES if c["argv"] == ["verify", "--criteria", "1,4,9"])
+    recorded = json.loads(case["stdout"])["output"][-1]["detail"]
+    worst = max(sx.weyl_m(spec.spectral, r, z).closed_form_residual for z in zs)
+    assert f"max relative Weyl discrepancy {worst:.3e}" in recorded
+    for z in zs:
+        got = sx.weyl_m(spec.spectral, r, z).matrix[0, 0]
+        with mpmath.workdps(40):
+            want = -1 / mpmath_series_40(2, 1.5, z, "closed")
+            err = float(abs(mpmath.mpc(got) - want) / abs(want))
+        assert err <= 2 * np.finfo(float).eps, (z, err)

@@ -36,7 +36,14 @@ def mpmath_series(p: int, alpha: float, z: complex, weight: str) -> complex:
     """(p-1) sum_N w_N / (lambda_N - z) at 40 digits, w_N = c_N^2 ("e"),
     p^-N ("closed") or p^-N / (lambda_N + 1) ("m_hat", the sum then times
     z + 1), each direction summed until five terms in a row fall below
-    1e-35 of the sum (``None`` when that takes more than 3000 terms)."""
+    1e-35 of the sum (``None`` when that takes more than 3000 terms),
+    rounded to a complex."""
+    total = mpmath_series_40(p, alpha, z, weight)
+    return None if total is None else complex(total)
+
+
+def mpmath_series_40(p: int, alpha: float, z: complex, weight: str):
+    """``mpmath_series`` as an mpmath number of 40 digits, not rounded."""
     with mpmath.workdps(40):
         pm, am, zm = mpmath.mpf(p), mpmath.mpf(alpha), mpmath.mpc(z)
         power = {"e": 2, "closed": 0, "m_hat": 1}[weight]
@@ -55,7 +62,7 @@ def mpmath_series(p: int, alpha: float, z: complex, weight: str) -> complex:
                 total += t
                 small = small + 1 if abs(t) < mpmath.mpf(10) ** -35 * abs(total) else 0
                 n += step
-        return complex((p - 1) * (zm + 1 if weight == "m_hat" else 1) * total)
+        return (p - 1) * (zm + 1 if weight == "m_hat" else 1) * total
 
 
 @functools.cache
