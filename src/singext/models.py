@@ -71,7 +71,11 @@ which the eigenvalue search takes its roots exactly
 ``padic_resolvent``) give the independent check
 Mhat(z) = (z+1) (overlap + (z+1) E(z)).  The quadratures
 ``one_dim_gram_quadrature``, ``radial_resolvent_integral``, ``c_alpha``
-and ``h_norm_integral`` stay as independent checks too.
+and ``h_norm_integral`` stay as independent checks too.  They run the
+tanh-sinh rule of ``quadrature``, whose nodes reach from 5e-148 to 2e147,
+on integrands that take the array of nodes and stay finite at each of
+them (the defect elements ``h_delta`` and ``h_delta_prime`` take arrays
+too).
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ import numpy as np
 
 from .admissibility import GramFunction
 from .errors import ConvergenceError, PoleError
-from .quadrature import integrate_half_line, integrate_half_line_complex
+from .quadrature import (integrate_half_line, integrate_half_line_complex,
+                         integrate_real_line)
 from .symmetry import SymmetryFamily
 from .triplet import as_matrix, frozen_matrix, hermitian_within
 from .weyl import NegativeAxisPolynomial, SpectralModel
@@ -131,16 +136,16 @@ class ModelSpec:
 # One-dimensional zero-range model (delta, delta')
 # ---------------------------------------------------------------------------
 
-def h_delta(x: float) -> float:
-    """Defect element of the delta channel on the line."""
-    return 0.5 * math.exp(-abs(x))
+def h_delta(x):
+    """Defect element of the delta channel on the line, at a point or at
+    every point of an array."""
+    return 0.5 * np.exp(-np.abs(x))
 
 
-def h_delta_prime(x: float) -> float:
-    """Defect element of the delta-prime channel on the line (odd)."""
-    if x == 0.0:
-        return 0.0
-    return -0.5 * math.copysign(1.0, x) * math.exp(-abs(x))
+def h_delta_prime(x):
+    """Defect element of the delta-prime channel on the line (odd), at a
+    point or at every point of an array."""
+    return -0.5 * np.sign(x) * np.exp(-np.abs(x))
 
 
 def one_dim_gram_closed(t: float) -> np.ndarray:
@@ -162,13 +167,8 @@ def one_dim_gram_quadrature(i: int, j: int, t: float) -> float:
     """
     h = (h_delta, h_delta_prime)
     if t == 0.0:
-        f = lambda x: h[j](x) * h[i](-x)
-        scale = 1.0
-    else:
-        f = lambda x: h[j](x) * h[i](t * x)
-        scale = math.sqrt(t)
-    return scale * (integrate_half_line(lambda x: f(x))
-                    + integrate_half_line(lambda x: f(-x)))
+        return integrate_real_line(lambda x: h[j](x) * h[i](-x))
+    return math.sqrt(t) * integrate_real_line(lambda x: h[j](x) * h[i](t * x))
 
 
 def _one_dim_resolvent(z: complex) -> np.ndarray:
@@ -375,12 +375,28 @@ def radial_m_hat_grid(nu: float, z: np.ndarray) -> np.ndarray:
     zero = z == 0.0
     if s <= 0.0 and zero.any():
         raise PoleError(f"Mhat diverges at z = 0 for nu = {nu!r}")
-    complex_w = z.imag.any() or (z.real > 0.0).any()
-    # log 1 = 0 at z = 0, set below; + 0j as in the scalar kernel
-    w = np.where(zero, 1.0, -(z + 0j) if complex_w else -z.real)
-    log_w = np.log(w)
-    return np.where(zero, complex(-half_k),
-                    half_k * _expm1_grid(s * log_w) if s else -0.5 * log_w)
+    if z.imag.any() or (z.real > 0.0).any():
+        # log 1 = 0 at z = 0, set below; + 0j as in the scalar kernel
+        w = np.where(zero, 1.0, -(z + 0j))
+        log_w = np.log(w)
+        return np.where(zero, complex(-half_k),
+                        half_k * _expm1_grid(s * log_w) if s else -0.5 * log_w)
+    # Every z real and <= 0: the same steps on one real array, updated in
+    # place.  A grid of 10^4 points then allocates one 80 KB temporary,
+    # not six, and leaves the allocator less to map and trim.
+    u = np.negative(z.real, out=np.empty(z.shape))
+    u[zero] = 1.0
+    np.log(u, out=u)
+    if s:
+        u *= s
+        np.expm1(u, out=u)
+        u *= half_k
+    else:
+        u *= -0.5
+    u[zero] = -half_k
+    out = np.zeros(z.shape, dtype=complex)
+    out.real = u
+    return out
 
 
 def _expm1_grid(u: np.ndarray) -> np.ndarray:
@@ -397,17 +413,24 @@ def _expm1_grid(u: np.ndarray) -> np.ndarray:
 def radial_resolvent_integral(k: float, z: complex) -> complex:
     """Quadrature of r^k/((1+r^2)^2 (r^2 - z)) over the half line.
 
-    The independent check of ``radial_resolvent_closed`` (k = 2 nu - 1).
-    Real z < 0 takes one real quadrature, any other z the real and
-    imaginary parts separately.
+    The independent check of ``radial_resolvent_closed`` (k = 2 nu - 1),
+    for 0 <= k < 3.  Real z < 0 takes one real quadrature, any other z
+    one complex quadrature.  The integrand is the square of
+    r^(k/2) / (1 + r^2), over r^2 - z, which stays finite at every node
+    (r^k and (1 + r^2)^2 overflow at the largest).
     """
     z = complex(z)
-    if z.imag == 0.0 and z.real < 0.0:
-        x = z.real
-        return complex(integrate_half_line(
-            lambda r: r ** k / ((1.0 + r * r) ** 2 * (r * r - x))))
-    return integrate_half_line_complex(
-        lambda r: r ** k / ((1.0 + r * r) ** 2 * (r * r - z)))
+    negative = z.imag == 0.0 and z.real < 0.0
+    w = z.real if negative else z
+    half_k = 0.5 * k
+
+    def integrand(r):
+        q = r ** half_k / (1.0 + r * r)
+        return q * q / (r * r - w)
+
+    if negative:
+        return complex(integrate_half_line(integrand))
+    return integrate_half_line_complex(integrand)
 
 
 def point_interaction_resolvent(d: int, z: complex) -> complex:
@@ -614,9 +637,10 @@ def c_alpha(alpha: float) -> float:
 
 def h_norm_integral(alpha: float) -> float:
     """Quadrature of y^(2a-1)/(1+y^2)^2; the squared defect norm per unit
-    directional density."""
+    directional density.  The integrand is the square of
+    y^(a-1/2) / (1+y^2), which stays finite at every node."""
     return integrate_half_line(
-        lambda y: y ** (2.0 * alpha - 1.0) / (1.0 + y * y) ** 2)
+        lambda y: (y ** (alpha - 0.5) / (1.0 + y * y)) ** 2)
 
 
 def beta_alpha(alpha: float) -> float:

@@ -117,7 +117,9 @@ def negated_reciprocal(a, what: str):
     matrix, |a| <= ``POLE_RTOL`` max(1, |a|), since ``POLE_RTOL`` < 1.
 
     The quotient is numpy's, which gives the same bits for a scalar and
-    an array.  An entry above 2^1020 in modulus is scaled by 2^-4 around
+    an array.  An array ``a`` is overwritten with the result where no
+    entry needs the scaling below, so that a grid allocates no second
+    array for it.  An entry above 2^1020 in modulus is scaled by 2^-4 around
     it, so that the quotient neither overflows nor warns; its result lies
     within a few ulp of the exact one, or within the subnormal spacing.
 
@@ -130,7 +132,7 @@ def negated_reciprocal(a, what: str):
         # negated after the division: -1.0 / a flips the sign of a zero
         # imaginary part against LAPACK's inverse
         return -(1.0 / a)
-    a = np.asarray(a)
+    a = np.asarray(a, dtype=complex)
     mod = abs(a)
     low, high = mod.min(initial=np.inf), mod.max(initial=0.0)  # NaN if any is
     del mod  # a grid's temporaries are kept to a and the result
@@ -139,7 +141,7 @@ def negated_reciprocal(a, what: str):
     if low <= POLE_RTOL:
         raise PoleError(f"{what} is singular at the requested point")
     if high <= _RECIPROCAL_MAX:
-        out = np.divide(1.0, a, out=np.empty(a.shape, dtype=complex))
+        out = np.divide(1.0, a, out=a)
         return np.negative(out, out=out)
     s = np.where(abs(a) <= _RECIPROCAL_MAX, 1.0, _RECIPROCAL_SCALE)
     return -_scaled(1.0 / _scaled(a, s), s)
@@ -184,16 +186,33 @@ def invert_or_refuse_poles(mats: np.ndarray, what: str) -> np.ndarray:
     norms are summed over the n^2 entries in Python floats, cheaper than
     numpy's per-call cost; a finite ||A||_F is the finiteness check, and
     an entry that is not finite raises ``ValueError``.
+
+    LAPACK's inverse flushes to zero an entry whose exact value lies near
+    the bottom of the normal range, as the inverse of a matrix with
+    entries near the largest double does.  So a single matrix whose
+    ||A||_F^2 overflows, and a matrix of a stack with an entry above
+    2^1020 in modulus, is inverted as 2^-4 (2^-4 A)^-1, with the scaling
+    of ``negated_reciprocal``.  A power of two scales exactly, so this
+    changes no bit of an inverse that stays in the normal range.
     """
+    scale = None
     if mats.ndim == 2:
         a_sq = _frobenius_sq(mats)
-        if not math.isfinite(a_sq) and not np.isfinite(mats).all():
-            raise ValueError("matrix entries must be finite")
+        if not math.isfinite(a_sq):
+            if not np.isfinite(mats).all():
+                raise ValueError("matrix entries must be finite")
+            scale = _RECIPROCAL_SCALE
+    else:
+        big = (abs(mats) > _RECIPROCAL_MAX).any(axis=(-2, -1))
+        if big.any():
+            scale = np.where(big, _RECIPROCAL_SCALE, 1.0)[..., None, None]
     try:
-        inv = np.linalg.inv(mats)
+        inv = np.linalg.inv(mats if scale is None else _scaled(mats, scale))
     except np.linalg.LinAlgError:
         refuse_stacked_poles(mats, what)
         raise PoleError(f"{what} is singular at the requested point") from None
+    if scale is not None:
+        inv = _scaled(inv, scale)
     if mats.ndim > 2 or not _CERT_SQ * _frobenius_sq(inv) * max(1.0, a_sq) < 1.0:
         refuse_stacked_poles(mats, what)
     return inv

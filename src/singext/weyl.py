@@ -175,7 +175,9 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     is ``-np.linalg.inv(R + Mhat(z))`` bit for bit, and
     ``triplet.invert_or_refuse_poles`` decides the pole from that one
     inverse, with an SVD only where its certificate does not clear
-    R + Mhat(z).  A real z > 0 lies on the continuous spectrum; the
+    R + Mhat(z); where ||R + Mhat(z)||_F^2 overflows, the inverse is
+    taken of 2^-4 (R + Mhat(z)) and scaled back, so that entries near
+    the bottom of the normal range are not flushed to zero.  A real z > 0 lies on the continuous spectrum; the
     closed-form backends (one-dim, scaling and point interactions) return
     the boundary value M(z + i0) from the upper half-plane there.  A z or
     R + Mhat(z) that is not finite and a Mhat(z) of the wrong shape raise
@@ -216,7 +218,8 @@ def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
     same R + Mhat(z), so a looped backend gives ``weyl_m``'s bytes at
     every z.  For n > 1 it is ``np.linalg.inv`` of the stack, after
     which the SVD rule decides the poles
-    (``triplet.invert_or_refuse_poles``).  It raises what ``weyl_m``
+    (``triplet.invert_or_refuse_poles``); a matrix with an entry above
+    2^1020 in modulus is inverted as 2^-4 (2^-4 (R + Mhat(z)))^-1.  It raises what ``weyl_m``
     raises, if it would at any of the points: ``PoleError`` for a
     singular R + Mhat(z), ``ValueError`` for a z or R + Mhat(z) that is
     not finite or a Mhat(z) of the wrong shape, and the backend's own

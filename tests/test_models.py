@@ -18,7 +18,7 @@ from singext.quadrature import (integrate_half_line, integrate_half_line_complex
 # quadrature back end --------------------------------------------------------
 
 def test_half_line_quadrature_known_integrals():
-    assert integrate_half_line(lambda y: math.exp(-y)) == \
+    assert integrate_half_line(lambda y: np.exp(-y)) == \
         pytest.approx(1.0, abs=1e-12)
     assert integrate_half_line(lambda y: 1.0 / (1.0 + y * y)) == \
         pytest.approx(math.pi / 2, abs=1e-12)
@@ -32,8 +32,55 @@ def test_complex_quadrature_against_closed_form():
 
 
 def test_real_line_quadrature_folds():
-    assert integrate_real_line(lambda x: math.exp(-abs(x))) == \
+    assert integrate_real_line(lambda x: np.exp(-np.abs(x))) == \
         pytest.approx(2.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.2, 1.5, 1.8, 1.9])
+def test_scaling_quadratures_match_closed_forms(alpha):
+    # QUADPACK was 1.1e-11 off at 1.1; the tails y^-1.1 at 1.05 and y^-0.9
+    # at 0 near 1.95 are what the window of the rule must reach
+    c_ref, h_ref = models.scaling_constants(alpha)
+    assert abs(models.c_alpha(alpha) - c_ref) <= 1e-14 * c_ref
+    assert abs(models.h_norm_integral(alpha) - h_ref) <= 1e-14 * h_ref
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 2.0, 4.0])
+def test_one_dim_gram_quadrature_to_rounding(t):
+    closed = models.one_dim_gram_closed(t)
+    for i in range(2):
+        for j in range(2):
+            quad_val = models.one_dim_gram_quadrature(i, j, t)
+            assert abs(quad_val - closed[i, j].real) <= 1e-15
+
+
+def test_divergent_integral_is_refused():
+    with pytest.raises(ConvergenceError):
+        integrate_half_line(lambda y: 1.0 / (1.0 + y))
+    with pytest.raises(ConvergenceError):
+        integrate_real_line(lambda x: 1.0 / (1.0 + np.abs(x)))
+
+
+def test_tail_beyond_the_window_is_refused():
+    # c_alpha(1.036) decays as y^-1.072: the step-h and step-2h sums agree
+    # to 6e-12, but the part beyond the window is 1.6e-11 of the integral,
+    # and the term at the end of the window says so
+    with pytest.raises(ConvergenceError, match="end of the window"):
+        models.c_alpha(1.036)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_integrand_not_finite_at_a_node_is_refused(bad):
+    f = lambda y: np.where(y < 1e3, 1.0 / (1.0 + y * y), bad)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        integrate_half_line(f)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        integrate_half_line_complex(lambda y: 1j * f(y))
+    with pytest.raises(ConvergenceError, match="not finite"):
+        integrate_real_line(f)
+    # inf / inf at the largest node, written without guarding its overflow
+    with pytest.raises(ConvergenceError, match="not finite"):
+        integrate_half_line(lambda y: y ** 3 / (1.0 + y * y) ** 2)
 
 
 # one-dimensional zero-range model -------------------------------------------
@@ -79,10 +126,11 @@ def test_one_dim_parity_gram_quadrature():
 def test_one_dim_resolvent_closed_form_vs_quadrature(one_dim):
     for z in (-2.0, 0.7 + 0.9j, -0.5 + 0.3j):
         closed = models._one_dim_resolvent(z)
+        # written as squares over y^2 - z, which stay finite at every node
         quad11 = (1.0 / np.pi) * integrate_half_line_complex(
-            lambda y: 1.0 / ((1 + y * y) ** 2 * (y * y - z)))
+            lambda y: (1.0 / (1 + y * y)) ** 2 / (y * y - z))
         quad22 = (1.0 / np.pi) * integrate_half_line_complex(
-            lambda y: y * y / ((1 + y * y) ** 2 * (y * y - z)))
+            lambda y: (y / (1 + y * y)) ** 2 / (y * y - z))
         assert closed[0, 0] == pytest.approx(quad11, rel=1e-10)
         assert closed[1, 1] == pytest.approx(quad22, rel=1e-10)
 

@@ -1,8 +1,10 @@
 """``weyl_m`` checks each input once and returns one pass of arithmetic.
 
 For several channels the stored matrix is bit for bit -inv(R + Mhat(z)),
-as numpy's LAPACK computes it from the backend's Mhat(z).  For one
-channel it is -(1 / a) for the one entry a of R + Mhat(z), numpy's
+as numpy's LAPACK computes it from the backend's Mhat(z); next to the
+largest double it is LAPACK's inverse of 2^-4 (R + Mhat(z)), scaled back
+so that it does not flush to zero.  For one channel it is -(1 / a) for
+the one entry a of R + Mhat(z), numpy's
 complex quotient with no LAPACK call (``triplet.negated_reciprocal``),
 which ``weyl_m_grid`` shares: the scalar and the grid M(z) agree bit for
 bit wherever their Mhat(z) do, and lie within 4 eps of the exact
@@ -222,3 +224,40 @@ def test_reciprocal_at_the_overflow_edge_is_right_and_silent(a):
         for part, exact in ((got.real, want.real), (got.imag, want.imag)):
             err = float(abs(mpmath.mpf(part) - exact))
             assert err <= max(4 * EPS * float(abs(exact)), subnormal), (got, want)
+
+
+# The same edge for several channels, where the inverse is LAPACK's: it
+# flushed -(5e-309 - 5e-309i) to -0 - 0i, and is now taken of 2^-4 times
+# R + Mhat(z) and scaled back.  The exact inverses come from mpmath, and
+# for the block-diagonal matrix, on which mpmath's own LU refuses, by block.
+EDGE_A = complex(-1.7e308, 1.7e308)
+EDGE_MATRICES = {
+    "diagonal": (np.diag([complex(1e308, 1e308)] * 2), None),
+    "full": (np.array([[complex(1e308, 1e308), 1e307], [3e306j, complex(1e308, -5e307)]]), None),
+    "mixed scales": (np.array([[EDGE_A, 0, 0], [0, 2, 1], [0, 1, 3]]),
+                     lambda: mpmath.matrix([[1 / mpmath.mpc(EDGE_A), 0, 0],
+                                            [0, mpmath.mpf(3) / 5, mpmath.mpf(-1) / 5],
+                                            [0, mpmath.mpf(-1) / 5, mpmath.mpf(2) / 5]])),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_MATRICES)
+def test_inverse_at_the_overflow_edge_is_right_and_silent(name):
+    mat, exact_inverse = EDGE_MATRICES[name]
+    mat = mat.astype(complex)
+    n = len(mat)
+    model = _custom(lambda z: mat.copy(), n)
+    with mpmath.workdps(40):
+        want = exact_inverse() if exact_inverse else mpmath.matrix(mat.tolist()) ** -1
+    subnormal = np.finfo(float).smallest_subnormal
+    for form in _both_forms(model, np.zeros((n, n)), 1j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = form()
+        for i in range(n):
+            for j in range(n):
+                exact = -want[i, j]
+                for part, ex in ((got[i, j].real, exact.real), (got[i, j].imag, exact.imag)):
+                    err = float(abs(mpmath.mpf(part) - ex))
+                    assert err <= max(8 * EPS * float(abs(ex)), 4 * subnormal), \
+                        (name, i, j, got[i, j], exact)
