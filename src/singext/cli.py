@@ -316,10 +316,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--interval", required=True, help="'lo,hi' below 0")
     sub.add_argument("--num", type=grid_size, default=2000,
                      help="an integer >= 2 (default 2000), accepted and "
-                          "echoed in the envelope; no search uses a grid: the "
-                          "point (d = 1, 3), scaling and one-dim models take "
-                          "the exact route, and one channel without it "
-                          "(p-adic, point d = 2) brackets its one root")
+                          "echoed in the envelope; no search uses a grid: "
+                          "several channels take the exact route, and one "
+                          "channel brackets its one root to 2 ulp, a stop "
+                          "that --tol does not set")
     sub = command("nonneg", _cmd_nonneg,
                   "nonnegativity criterion for a realization", [solver_flags])
     sub.add_argument("--B", required=True, help="coupling matrix")

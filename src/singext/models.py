@@ -63,9 +63,10 @@ closed forms also come over an array of z (``m_hat_grid``, from
 ``radial_m_hat_grid`` for the point and scaling models); the p-adic
 model has no array form, and ``weyl_m_grid`` loops over its ``m_hat``.
 On the negative axis the point (d = 1, 3), scaling and one-dim Mhat are
-polynomials in a power of -x (``SpectralModel.negative_axis``), from
-which the eigenvalue search takes its roots exactly
-(``radial_negative_axis``).  The scalar E(z) functions
+polynomials in a power of -x (``SpectralModel.negative_axis``,
+``radial_negative_axis``), from which the eigenvalue search of several
+channels takes its roots exactly; a search of one channel brackets its
+one root from ``m_hat`` on every model.  The scalar E(z) functions
 (``radial_resolvent_closed``, ``e_alpha``,
 ``point_interaction_resolvent``, ``_one_dim_resolvent`` and
 ``padic_resolvent``) give the independent check
@@ -380,7 +381,7 @@ def radial_m_hat_grid(nu: float, z: np.ndarray) -> np.ndarray:
         w = np.where(zero, 1.0, -(z + 0j))
         log_w = np.log(w)
         return np.where(zero, complex(-half_k),
-                        half_k * _expm1_grid(s * log_w) if s else -0.5 * log_w)
+                        half_k * np.expm1(s * log_w) if s else -0.5 * log_w)
     # Every z real and <= 0: the same steps on one real array, updated in
     # place.  A grid of 10^4 points then allocates one 80 KB temporary,
     # not six, and leaves the allocator less to map and trim.
@@ -396,17 +397,6 @@ def radial_m_hat_grid(nu: float, z: np.ndarray) -> np.ndarray:
     u[zero] = -half_k
     out = np.zeros(z.shape, dtype=complex)
     out.real = u
-    return out
-
-
-def _expm1_grid(u: np.ndarray) -> np.ndarray:
-    """``_expm1`` on an array, real or complex."""
-    if u.dtype.kind == "f":
-        return np.expm1(u)
-    half = np.sin(0.5 * u.imag)
-    out = np.empty_like(u)
-    out.real = np.expm1(u.real) * np.cos(u.imag) - 2.0 * half * half
-    out.imag = np.exp(u.real) * np.sin(u.imag)
     return out
 
 

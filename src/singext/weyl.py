@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionMismatchError, PoleError
+from .errors import ConvergenceError, DimensionMismatchError
 from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
 from .triplet import (HERMITICITY_RTOL, as_matrix, frozen_matrix,
                       hermitian_within, invert_or_refuse_poles,
@@ -102,11 +102,12 @@ class SpectralModel:
         ``weyl_m_grid``.  Without it ``weyl_m_grid`` loops over ``m_hat``.
     negative_axis : NegativeAxisPolynomial, optional
         Mhat on the negative axis as a polynomial in a power of -x, where
-        the model's symmetry makes it one; ``find_negative_eigenvalues``
-        then finds its roots from one small eigenproblem.  It must
+        the model's symmetry makes it one.  A search of several channels
+        (``find_negative_eigenvalues``) finds its roots from it by one
+        small eigenproblem, and is refused without it; a search of one
+        channel brackets its one root and does not read it.  It must
         continue analytically to ``m_hat`` off the axis, u = (-z)^q on
-        the principal branch.  Without it a one-channel search brackets
-        its one root, and a search of several channels is refused.
+        the principal branch.
     """
 
     n: int
@@ -298,10 +299,11 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
     broadcast against M(x)), and Hermitian: the real-axis eigenvalue
     search is meaningful for self-adjoint realizations.
 
-    It takes one of two routes.
+    It takes one route per channel count.
 
-    1. Exact, where the model carries ``negative_axis`` (Mhat(x) =
-       u^-d sum_k C_k u^k, u = (-x)^q): with K(x) = R + Mhat(x),
+    1. Several channels (n >= 2) need the model's ``negative_axis``
+       datum (Mhat(x) = u^-d sum_k C_k u^k, u = (-x)^q), and a model
+       without it raises ``ValueError``.  With K(x) = R + Mhat(x),
        det(B - M(x)) = det(I + B K(x)) / det K(x).  So the roots are the
        real u in the image of the interval where the matrix polynomial
        u^d (I + B R) + sum_k B C_k u^k is singular, and the poles of M
@@ -317,24 +319,23 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
        multiplicity included.  An eigenvalue that is zero to rounding
        counts as negative at ``hi`` and not at ``lo``, and its root is
        that end.  The poles are found only where the roots alone disagree
-       with the count.
-    2. One bracketed root, for one channel (n = 1) without the datum
-       (p-adic, point d = 2), or where route 1's count disagrees or meets
-       a pole of M at an end.  Here det(B - M(x)) = g(x) / K(x) with
-       g(x) = 1 + B K(x), real and monotone on the negative axis, since
-       Mhat is strictly increasing there (A0 >= 0).  So a rank-one
-       perturbation has at most one negative eigenvalue, and a pole of M
-       (K = 0, g = 1) is no event.  The signs of g at ``lo`` and ``hi``
-       decide between no root and one; a g of 0 at an end makes that end
-       the root.  A regula falsi on g from ``model.m_hat``
+       with the count.  A pole of M at an end raises ``PoleError``, and a
+       count that still disagrees ``ConvergenceError``.
+    2. One channel (n = 1), with or without the datum, brackets its one
+       root.  Here det(B - M(x)) = g(x) / K(x) with g(x) = 1 + B K(x),
+       real and monotone on the negative axis, since Mhat is strictly
+       increasing there (A0 >= 0).  So a rank-one perturbation has at
+       most one negative eigenvalue, and a pole of M (K = 0, g = 1) is
+       no event.  The interval is closed: an end where g is zero to
+       rounding, |g| <= ``HERMITICITY_RTOL`` max(1, |B K|), is the root.
+       Otherwise the signs of g at ``lo`` and ``hi`` decide between no
+       root and one, and a regula falsi on g from ``model.m_hat``
        (``_bracketed_root``), with no inversion, closes the bracket to
        2 ulp or stops where g is 0: a relative stop, which ``tol`` does
-       not set.  It takes about 10 ``m_hat`` calls and no ``weyl_m`` call.
+       not set.  It takes about 10 ``m_hat`` calls and no ``weyl_m``
+       call.
 
-    Several channels (n >= 2) have no other route: a pole of M at an end
-    raises ``PoleError``, a count that still disagrees
-    ``ConvergenceError``, and a model without the datum ``ValueError``.
-    ``tol`` is checked on every route.  The backend's errors
+    ``tol`` is checked on both routes.  The backend's errors
     (``ConvergenceError``, ``PoleError``) propagate.
     """
     b = as_matrix(coupling)
@@ -347,23 +348,12 @@ def find_negative_eigenvalues(model: SpectralModel, reg, coupling,
     if not -math.inf < lo < hi < 0:
         raise ValueError("search interval must satisfy lo < hi < 0")
     check_tol(tol)
-    if model.negative_axis is not None:
-        try:
-            roots = _exact_roots(model, reg, b, lo, hi, tol)
-        except PoleError:  # a pole of M at an end
-            if model.n > 1:
-                raise
-            roots = None
-        if roots is not None:
-            return roots
-        if model.n > 1:
-            raise ConvergenceError(
-                "the roots of det(B - M) less the poles of M disagree with "
-                "the inertia count of B - M at the ends of the interval")
-    elif model.n > 1:
+    if model.n == 1:
+        return _one_channel_root(model, reg, float(b[0, 0].real), lo, hi)
+    if model.negative_axis is None:
         raise ValueError("a search of several channels needs the model's "
                          "negative_axis datum")
-    return _one_channel_root(model, reg, float(b[0, 0].real), lo, hi)
+    return _exact_roots(model, reg, b, lo, hi, tol)
 
 
 def _inertia(a: np.ndarray, zero_is_negative: bool) -> tuple[int, int]:
@@ -378,10 +368,10 @@ def _inertia(a: np.ndarray, zero_is_negative: bool) -> tuple[int, int]:
 
 
 def _exact_roots(model: SpectralModel, reg, b: np.ndarray, lo: float, hi: float,
-                 tol: float) -> list[float] | None:
-    """The roots from the model's ``negative_axis`` datum, or None where
-    their number less that of the poles of M disagrees with the inertia
-    count.  A pole of M at an end raises ``PoleError``."""
+                 tol: float) -> list[float]:
+    """The roots from the model's ``negative_axis`` datum.  A pole of M at
+    an end raises ``PoleError``, and roots whose number less that of the
+    poles of M disagrees with the inertia count ``ConvergenceError``."""
     above, zeros_hi = _inertia(b - weyl_m(model, reg, hi).matrix, True)
     below, zeros_lo = _inertia(b - weyl_m(model, reg, lo).matrix, False)
     datum, r = model.negative_axis, as_matrix(reg)
@@ -394,13 +384,16 @@ def _exact_roots(model: SpectralModel, reg, b: np.ndarray, lo: float, hi: float,
                 if abs(found[i] - end) < tol:
                     found[i] = end
         roots = sorted(x for x in found if lo <= x <= hi)
-        if len(roots) != above - below:
-            poles = [x for x in _real_singular_points(datum, datum.coeffs, r, lo, hi)
-                     if lo < x < hi]
-            if len(roots) - len(poles) != above - below:
-                return None
+        count = len(roots)
+        if count != above - below:
+            count -= sum(lo < x < hi for x in
+                         _real_singular_points(datum, datum.coeffs, r, lo, hi))
     except np.linalg.LinAlgError:  # a singular shifted polynomial, or entries not finite
-        return None
+        count = None
+    if count != above - below:
+        raise ConvergenceError(
+            "the roots of det(B - M) less the poles of M disagree with "
+            "the inertia count of B - M at the ends of the interval")
     clusters: list[list[float]] = []
     for x in roots:
         if clusters and x - clusters[-1][-1] < tol * abs(x):
@@ -451,8 +444,10 @@ def _one_channel_root(model: SpectralModel, reg, b: float, lo: float,
     For n = 1, det(B - M(x)) = g(x) / K(x) with K = R + Mhat.  Mhat is
     strictly increasing on the negative axis (A0 >= 0), so g is monotone:
     its signs at the ends decide between no root and one, and a pole of M
-    (K = 0, g = 1) is no event.  Mhat comes from ``model.m_hat``, with
-    no inversion.
+    (K = 0, g = 1) is no event.  An end where g is zero to rounding,
+    |g| <= ``HERMITICITY_RTOL`` max(1, |B K|), is the root, as for the
+    inertia count of ``_exact_roots``.  Mhat comes from ``model.m_hat``,
+    with no inversion.
     """
     r = as_matrix(reg)
     if r.shape != (1, 1):
@@ -469,8 +464,9 @@ def _one_channel_root(model: SpectralModel, reg, b: float, lo: float,
         return 1.0 + b * k.real
 
     g_lo, g_hi = g(lo), g(hi)
-    if g_lo == 0.0 or g_hi == 0.0:
-        return [lo if g_lo == 0.0 else hi]
+    for end, g_end in ((lo, g_lo), (hi, g_hi)):
+        if within(abs(g_end), HERMITICITY_RTOL, abs(g_end - 1.0)):  # g - 1 = B K
+            return [end]
     if (g_lo < 0.0) == (g_hi < 0.0):
         return []
     return [_bracketed_root(g, lo, hi, g_lo, g_hi)]

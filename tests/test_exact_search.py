@@ -1,13 +1,17 @@
-"""The exact eigenvalue search of the continuous families.
+"""The exact eigenvalue search of several channels.
 
 On the negative axis the point (d = 1, 3), scaling and one-dim backends
 give Mhat(x) as a polynomial in u = (-x)^q divided by u^d
-(``SpectralModel.negative_axis``), so ``find_negative_eigenvalues`` takes
-the roots of det(B - M(x)) from one small eigenproblem and certifies
-their number by the inertia of B - M at the ends of the interval, less
-the poles of M between them.  The scalar scan of ``test_weyl_grid`` stays
-the oracle: the two agree wherever the scan can see a root, and the
-exact route finds more only at roots of even multiplicity.
+(``SpectralModel.negative_axis``).  For several channels
+``find_negative_eigenvalues`` takes the roots of det(B - M(x)) from one
+small eigenproblem and certifies their number by the inertia of B - M at
+the ends of the interval, less the poles of M between them.  One channel
+brackets its one root instead, with or without the datum
+(``test_one_channel_search``); the one-channel models stay in the sweeps
+here, which hold every search to the same answers.  The scalar scan of
+``test_weyl_grid`` stays the oracle: the two agree wherever the scan can
+see a root, and the exact route finds more only at roots of even
+multiplicity.
 """
 
 import dataclasses
@@ -127,8 +131,9 @@ def test_broken_datum_on_two_channels_raises_convergence_error(monkeypatch):
 
 
 def test_a_root_at_an_end_of_the_interval_is_found_without_the_scan(monkeypatch):
-    # B - M vanishes at the end to rounding: the count takes the interval
-    # as closed, and the exact route returns the end as the root
+    # point d = 3, one channel: g = 1 + B K vanishes at the end to
+    # rounding, and the bracket takes the interval as closed and returns
+    # the end as the root, as the exact route's count does
     spec = sx.build_point_interaction(3)
     r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix
     for end in INTERVAL:

@@ -18,6 +18,7 @@ import pytest
 import singext as sx
 from singext import acceptance
 from singext.cli import run
+from test_one_channel_search import datum_root_40
 from test_padic_series import mpmath_series_40
 
 CASES = json.loads((pathlib.Path(__file__).parent / "golden" / "cli.json")
@@ -44,6 +45,22 @@ def test_close_roots_at_a_small_scale_are_recorded_apart():
     got = json.loads(case["stdout"])["output"]
     assert len(got) == 2
     assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want)), (got, want)
+
+
+def test_point_d3_root_is_recorded_within_2e_15_of_its_40_digit_value():
+    # point d = 3 at its homogeneous R: one channel with a negative-axis
+    # datum, so the root of g = 1 + B (R + C_0 + C_1 sqrt(-x)) solves a
+    # linear equation in sqrt(-x)
+    case = next(c for c in CASES
+                if c["argv"][:5] == ["spectrum", "--kind", "PointInteractionRd", "--d", "3"])
+    b = json.loads(case["argv"][case["argv"].index("--B") + 1])[0][0]
+    spec = sx.build_point_interaction(3)
+    r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix[0, 0].real
+    got = json.loads(case["stdout"])["output"]
+    assert len(got) == 1
+    want = datum_root_40(spec.spectral, r, b)
+    with mpmath.workdps(40):
+        assert float(abs((got[0] - want) / want)) <= 2e-15, (got, want)
 
 
 def test_padic_weyl_at_large_z_is_recorded_on_the_closed_series():

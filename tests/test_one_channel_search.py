@@ -1,17 +1,22 @@
 """The bracketed eigenvalue search of one channel.
 
 For n = 1, det(B - M(x)) = g(x) / K(x) with K = R + Mhat and
-g = 1 + B K, which is monotone on the negative axis.  On the models
-without a negative-axis datum (p-adic, point d = 2)
+g = 1 + B K, which is monotone on the negative axis.  On every model of
+one channel, with or without a negative-axis datum,
 ``find_negative_eigenvalues`` brackets the one root of g with ``m_hat``
-alone.  Point d = 2 has it in closed form: Mhat(x) = -(P/2) log(-x) with
-P = 1/(2 pi), so g vanishes at x = -exp(2 (1/B + R) / P), and M has its
-pole (K = 0) at x = -exp(2 R / P).
+alone; an end where g is zero to rounding is the root, and ``tol`` sets
+no stop.  Point d = 2 has the root in closed form: Mhat(x) =
+-(P/2) log(-x) with P = 1/(2 pi), so g vanishes at
+x = -exp(2 (1/B + R) / P), and M has its pole (K = 0) at
+x = -exp(2 R / P).  On point d = 1, 3 and the scaling models the datum
+gives Mhat(x) = C_0 + C_1 u with u = (-x)^q, so g vanishes at the u of a
+linear equation, solved here at 40 digits.
 """
 
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -80,8 +85,8 @@ def test_point_d2_no_root_in_the_interval(point_d2, b):
 
 def test_pole_at_an_end_leaves_the_exact_route_for_the_bracket(monkeypatch):
     # point d = 3: Mhat(x) = -(sqrt(-x) - 1) / (4 pi), and R = -Mhat(hi)
-    # puts the pole of M at hi, where the inertia count raises PoleError
-    # and one channel goes to the bracket; g = 1 there, and g(x) = 0 at
+    # puts the pole of M at hi, where M cannot be inverted; the bracket
+    # never forms M, g = 1 there, and g(x) = 0 at
     # sqrt(-x) = sqrt(-hi) + 4 pi / B
     spectral = sx.build_point_interaction(3).spectral
     lo, hi, b = -3.0, -0.5, 20.0
@@ -94,32 +99,43 @@ def test_pole_at_an_end_leaves_the_exact_route_for_the_bracket(monkeypatch):
     assert got == [pytest.approx(want, rel=1e-13, abs=0.0)]
 
 
+def _homogeneous(spec):
+    return spec.spectral, sx.solve_homogeneous_R(spec.family, spec.gram).matrix
+
+
+# Every model of one channel with its R: the homogeneous one, and 0.1 for
+# point d = 2, which has none and whose pole of M it keeps out of
+# PLANTED_INTERVAL
+ONE_CHANNEL = {
+    "padic_2_1.5": lambda: _homogeneous(sx.build_padic_model(2, 1.5)),
+    "padic_3_0.75": lambda: _homogeneous(sx.build_padic_model(3, 0.75)),
+    "point_d1": lambda: _homogeneous(sx.build_point_interaction(1)),
+    "point_d2": lambda: (sx.build_point_interaction(2).spectral, np.array([[0.1]])),
+    "point_d3": lambda: _homogeneous(sx.build_point_interaction(3)),
+    **{f"scaling_{a}": (lambda a=a: _homogeneous(sx.build_scaling_invariant_3d(a)))
+       for a in (1.3, 1.5, 1.9)},
+}
+WITH_A_DATUM = ["point_d1", "point_d3", "scaling_1.3", "scaling_1.5", "scaling_1.9"]
+
+
 def _planted(name, seed):
     """(spectral model, R, B, x0): B = M(x0) at a seeded x0 as in the
-    benchmark's planted searches; R = 0.1 keeps point d = 2's pole out."""
-    if name == "point_d2":
-        spec, r = sx.build_point_interaction(2), np.array([[0.1]])
-    else:
-        p, alpha = {"padic_2_1.5": (2, 1.5), "padic_3_0.75": (3, 0.75)}[name]
-        spec = sx.build_padic_model(p, alpha)
-        r = sx.solve_homogeneous_R(spec.family, spec.gram).matrix
+    benchmark's planted searches."""
+    spectral, r = ONE_CHANNEL[name]()
     x0 = float(np.random.default_rng([seed, 16]).uniform(-2.6, -0.6))
-    b = sx.weyl_m(spec.spectral, r, x0).matrix.real
-    return spec.spectral, r, b, x0
+    b = sx.weyl_m(spectral, r, x0).matrix.real
+    return spectral, r, b, x0
 
 
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("name", ["padic_2_1.5", "padic_3_0.75", "point_d2"])
-def test_planted_search_without_a_datum_stays_off_the_scan(name, seed, monkeypatch):
-    # at most 40 m_hat calls, no grid, no weyl_m: a return to a scan fails
-    # here without any timing
-    spectral, r, b, x0 = _planted(name, seed)
-    assert spectral.n == 1 and spectral.negative_axis is None
+def _assert_brackets_off_the_scan(spectral, r, b, x0, monkeypatch):
+    """At most 40 m_hat calls, the same points on a repeat, and no
+    ``weyl_m``, ``weyl_m_grid`` or ``np.linalg.eigvals`` call: a return to
+    a scan or to the exact route fails here without any timing."""
     m_hat_calls, other = [], []
     counted = dataclasses.replace(
         spectral, m_hat=lambda z: m_hat_calls.append(z) or spectral.m_hat(z))
-    for attr in ("weyl_m_grid", "weyl_m"):
-        monkeypatch.setattr(weyl, attr, lambda *a, attr=attr: other.append(attr))
+    for owner, attr in ((weyl, "weyl_m_grid"), (weyl, "weyl_m"), (np.linalg, "eigvals")):
+        monkeypatch.setattr(owner, attr, lambda *a, attr=attr: other.append(attr))
     got = sx.find_negative_eigenvalues(counted, r, b, PLANTED_INTERVAL)
     assert other == []
     assert 0 < len(m_hat_calls) <= 40
@@ -128,6 +144,86 @@ def test_planted_search_without_a_datum_stays_off_the_scan(name, seed, monkeypat
     m_hat_calls.clear()
     assert sx.find_negative_eigenvalues(counted, r, b, PLANTED_INTERVAL) == got
     assert m_hat_calls == first  # the same points, so the same call count
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", ["padic_2_1.5", "padic_3_0.75", "point_d2"])
+def test_planted_search_without_a_datum_stays_off_the_scan(name, seed, monkeypatch):
+    spectral, r, b, x0 = _planted(name, seed)
+    assert spectral.n == 1 and spectral.negative_axis is None
+    _assert_brackets_off_the_scan(spectral, r, b, x0, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["point_d1", "point_d3", "scaling_1.5"])
+def test_planted_search_with_a_datum_brackets_too(name, monkeypatch):
+    # the negative-axis polynomial does not send one channel to the exact
+    # route, whose count took two weyl_m calls and one eigvals
+    spectral, r, b, x0 = _planted(name, 0)
+    assert spectral.n == 1 and spectral.negative_axis is not None
+    _assert_brackets_off_the_scan(spectral, r, b, x0, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CHANNEL))
+def test_a_root_at_an_end_of_the_interval_is_that_end(name):
+    # B = M(end) makes g zero to rounding at the end (at most 1.1e-16 of
+    # max(1, |B K|) here).  A test of the sign of g alone returned [] 44,
+    # 30 and 56 times in these 600 searches on p-adic (2, 3/2), p-adic
+    # (3, 3/4) and point d = 2, and on the p-adic models a point a few
+    # ulp inside the end 14 and 36 times.
+    spectral, r = ONE_CHANNEL[name]()
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        lo, hi = -rng.uniform(1.5, 5.0), -rng.uniform(0.05, 1.0)
+        for end in (lo, hi):
+            b = sx.weyl_m(spectral, r, end).matrix.real
+            assert sx.find_negative_eigenvalues(spectral, r, b, (lo, hi)) == [end], \
+                (lo, hi, end)
+
+
+@pytest.mark.parametrize("end", PLANTED_INTERVAL)
+@pytest.mark.parametrize("name", sorted(ONE_CHANNEL))
+def test_a_root_just_off_an_end_is_not_that_end(name, end):
+    # 1e-9 off the end, |g(end)| / max(1, |B K|) is at least 2.38e-10,
+    # far above the end rule's HERMITICITY_RTOL = 1e-12: no root just
+    # outside the interval, and just inside the root itself
+    spectral, r = ONE_CHANNEL[name]()
+    lo, hi = PLANTED_INTERVAL
+    for x0 in (end * (1.0 - 1e-9), end * (1.0 + 1e-9)):
+        b = sx.weyl_m(spectral, r, x0).matrix.real
+        got = sx.find_negative_eigenvalues(spectral, r, b, PLANTED_INTERVAL)
+        if lo < x0 < hi:
+            assert got == [pytest.approx(x0, rel=1e-14, abs=0.0)] and got != [end], (x0, got)
+        else:
+            assert got == [], (x0, got)
+
+
+def datum_root_40(spectral, r: float, b: float):
+    """The root of g at 40 digits, from Mhat(x) = C_0 + C_1 u on the
+    negative axis, u = (-x)^q: 1 + B (R + C_0 + C_1 u) = 0."""
+    datum = spectral.negative_axis
+    assert datum.d == 0 and len(datum.coeffs) == 2
+    with mpmath.workdps(40):
+        c0, c1 = (mpmath.mpf(float(c[0, 0].real)) for c in datum.coeffs)
+        u = -(1 / mpmath.mpf(b) + mpmath.mpf(r) + c0) / c1
+        return -u ** (1 / mpmath.mpf(datum.q))
+
+
+@pytest.mark.parametrize("name", WITH_A_DATUM)
+def test_continuous_roots_match_the_datum_at_40_digits(name):
+    # B drawn in the range of M over the interval, so that g has its one
+    # root there; the companion route was off by 1.03e-15 at most on such
+    # draws
+    spectral, r = ONE_CHANNEL[name]()
+    lo, hi = -3.0, -0.1
+    m = [sx.weyl_m(spectral, r, x).matrix[0, 0].real for x in (lo, hi)]
+    rng = np.random.default_rng([6, WITH_A_DATUM.index(name)])
+    for b in rng.uniform(min(m), max(m), 300).tolist():
+        want = datum_root_40(spectral, float(r[0, 0].real), b)
+        got = sx.find_negative_eigenvalues(spectral, r, [[b]], (lo, hi))
+        assert len(got) == 1, (b, got)
+        with mpmath.workdps(40):
+            err = float(abs((got[0] - want) / want))
+        assert err <= 2e-15, (b, got, err)
 
 
 def test_backend_errors_propagate(padic, padic_r):

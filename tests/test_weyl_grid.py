@@ -293,10 +293,10 @@ def _planted_coupling(spec, r, x0):
 
 @pytest.mark.parametrize("name", sorted(PLANTED))
 def test_batched_search_matches_the_scalar_scan(name, monkeypatch):
-    # No planted search scans.  The continuous families find the planted
-    # roots exactly, with two scalar weyl_m calls for the count.  The
-    # p-adic model has no negative-axis polynomial: its one channel
-    # brackets the one root of 1 + B (R + Mhat(x)) with m_hat alone.
+    # No planted search scans.  Several channels find the planted roots
+    # exactly, with two scalar weyl_m calls for the count.  One channel,
+    # with or without a negative-axis polynomial, brackets the one root
+    # of 1 + B (R + Mhat(x)) with m_hat alone.
     spec, r = _model_and_r(name)
     x0 = PLANTED[name]
     b = _planted_coupling(spec, r, x0)
@@ -307,7 +307,7 @@ def test_batched_search_matches_the_scalar_scan(name, monkeypatch):
     got = sx.find_negative_eigenvalues(spec.spectral, r, b, SEARCH_INTERVAL)
     assert len(got) == len(x0)
     assert grids == []
-    if spec.spectral.negative_axis is None:
+    if spec.n == 1:
         np.testing.assert_allclose(got, x0, rtol=1e-12, atol=0.0)
         assert calls == []
     else:
@@ -315,13 +315,15 @@ def test_batched_search_matches_the_scalar_scan(name, monkeypatch):
         assert len(calls) <= 2
 
 
-@pytest.mark.parametrize("name", sorted(n for n in PLANTED if not n.startswith("padic")))
+@pytest.mark.parametrize("name", ["one_dim", "scaling_n2", "scaling_n3"])
 def test_pole_free_exact_search_makes_one_eigenproblem(name, monkeypatch):
-    # the homogeneous R puts no pole of M on the negative axis, so the
-    # roots alone match the count: two scalar weyl_m calls and one
-    # companion eigenproblem, and the pole polynomial stays unsolved
+    # several channels at the homogeneous R, which puts no pole of M on
+    # the negative axis, so the roots alone match the count: two scalar
+    # weyl_m calls and one companion eigenproblem, and the pole
+    # polynomial stays unsolved.  One channel brackets instead
+    # (test_one_channel_search).
     spec, r = _model_and_r(name)
-    assert spec.spectral.negative_axis is not None
+    assert spec.n > 1 and spec.spectral.negative_axis is not None
     b = _planted_coupling(spec, r, PLANTED[name])
     calls = {"weyl_m": 0, "weyl_m_grid": 0, "eigvals": 0}
 
