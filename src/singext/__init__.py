@@ -17,16 +17,15 @@ from .errors import (ConvergenceError, DimensionMismatchError,
 from .models import (ModelSpec, build_one_dim_model, build_padic_model,
                      build_point_interaction, build_scaling_invariant_3d,
                      gram_limit_at_one, model_from_json, model_info)
-from .spectra_scattering import (RealizationSpec, SMatrix,
-                                 is_homogeneous_realization,
+from .spectra_scattering import (SMatrix, is_homogeneous_realization,
                                  is_nonnegative_realization, nonnegative_grid,
                                  s_matrix, s_matrix_grid, spectrum_ladder)
 from .symmetry import (NotPowerLaw, PowerLaw, SymmetryFamily,
                        ValidationReport, Violation, classify_power_law,
                        validate_family)
-from .triplet import (AdmissibleMatrix, BoundaryCoordinates, CouplingMatrix,
-                      boundary_form, in_realization_domain,
-                      is_selfadjoint_realization, to_regularized_triplet)
+from .triplet import (AdmissibleMatrix, BoundaryCoordinates, boundary_form,
+                      in_realization_domain, is_selfadjoint_realization,
+                      to_regularized_triplet)
 from .weyl import (SpectralModel, WeylEvaluation, check_weyl_homogeneity,
                    find_negative_eigenvalues, krein_correction, weyl_m,
                    weyl_m_grid)
@@ -35,11 +34,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleMatrix", "AllHomogeneous", "BoundaryCoordinates",
-    "ConvergenceError", "CouplingMatrix", "DimensionMismatchError",
-    "GramFunction", "InfiniteSolutions", "InsufficientDataError",
-    "ModelSpec", "NoSolution", "NotPowerLaw", "OnlyA0", "PoleError",
-    "PowerLaw", "RealizationSpec", "SMatrix", "SpectralModel",
-    "SymmetryFamily", "UniquePair", "UniqueSolution",
+    "ConvergenceError", "DimensionMismatchError", "GramFunction",
+    "InfiniteSolutions", "InsufficientDataError", "ModelSpec", "NoSolution",
+    "NotPowerLaw", "OnlyA0", "PoleError", "PowerLaw", "SMatrix",
+    "SpectralModel", "SymmetryFamily", "UniquePair", "UniqueSolution",
     "ValidationReport", "Violation", "WeylEvaluation", "beta",
     "boundary_form", "build_one_dim_model", "build_padic_model",
     "build_point_interaction", "build_scaling_invariant_3d",

@@ -16,10 +16,9 @@ import numpy as np
 from . import models, weyl
 from .admissibility import (NoSolution, UniqueSolution, classify_rank_one,
                             solve_homogeneous_R)
-from .spectra_scattering import (RealizationSpec, is_homogeneous_realization,
-                                 nonnegative_grid, s_matrix, s_matrix_grid,
-                                 spectrum_ladder)
-from .triplet import AdmissibleMatrix, CouplingMatrix, stacked_singular_values
+from .spectra_scattering import (is_homogeneous_realization, nonnegative_grid,
+                                 s_matrix, s_matrix_grid, spectrum_ladder)
+from .triplet import stacked_singular_values
 from .weyl import check_weyl_homogeneity, weyl_m
 
 
@@ -250,15 +249,10 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """p-adic homogeneity only at B = 0; exact ladder shift covariance."""
-    spec = models.build_padic_model(2, 1.5)
-    sol = solve_homogeneous_R(spec.family, spec.gram)
-    reg = AdmissibleMatrix(sol.matrix)
-    mismatches = []
-    for b in np.linspace(-5.0, 5.0, 41):
-        flag = is_homogeneous_realization(
-            RealizationSpec(CouplingMatrix([[b]]), reg, spec.family))
-        if flag != (b == 0.0):
-            mismatches.append(float(b))
+    bs = np.linspace(-5.0, 5.0, 41)
+    flags = is_homogeneous_realization(bs.reshape(-1, 1, 1),
+                                       models.build_padic_model(2, 1.5).family)
+    mismatches = bs[flags != (bs == 0.0)].tolist()
     base = spectrum_ladder(-1.0, 4.0, (-2, 2))
     shifted = spectrum_ladder(-1.0, 4.0, (-1, 3))
     covariant = [v * 4.0 for v in base] == shifted

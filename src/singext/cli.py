@@ -31,12 +31,12 @@ from .admissibility import (NoSolution, UniqueSolution, classify_rank_one,
                             solve_homogeneous_R)
 from .errors import ConvergenceError, PoleError
 from .jsonio import decode_complex, decode_matrix, encode_matrix
-from .spectra_scattering import (S_MATRIX_PROVENANCE_NOTE, RealizationSpec,
+from .spectra_scattering import (S_MATRIX_PROVENANCE_NOTE,
                                  is_homogeneous_realization,
                                  is_nonnegative_realization, nonnegative_grid,
                                  s_matrix, spectrum_ladder)
 from .symmetry import DEFAULT_TOL, check_tol
-from .triplet import HERMITICITY_RTOL, AdmissibleMatrix, CouplingMatrix
+from .triplet import HERMITICITY_RTOL, checked_r
 from .weyl import find_negative_eigenvalues, weyl_m
 
 
@@ -188,10 +188,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_nonneg(args) -> int:
     spec = _model_from_args(args)
     reg = _solve_unique_r(spec, args.tol)
-    coupling = CouplingMatrix(decode_matrix(_load_json_arg(args.B)))
-    report = is_nonnegative_realization(
-        RealizationSpec(coupling, AdmissibleMatrix(reg), spec.family),
-        args.tol)
+    coupling = decode_matrix(_load_json_arg(args.B))
+    report = is_nonnegative_realization(coupling, reg, args.tol)
     _emit("nonneg", {"kind": spec.kind, "params": dict(spec.params),
                      "tol": args.tol},
           report.to_json(), ["nonnegativity criterion in Loewner order"])
@@ -227,7 +225,7 @@ def _cmd_sweep(args) -> int:
     spec = _model_from_args(args)
     if spec.n != 1:
         raise ValueError("sweep drives a scalar coupling; the model must have n=1")
-    reg = AdmissibleMatrix(_solve_unique_r(spec, args.tol))
+    reg = checked_r(_solve_unique_r(spec, args.tol))  # refused before the header
     lo, hi = _parse_interval(args.b_range)
     if not np.isfinite([lo, hi]).all():
         raise ValueError(f"--range must be finite, got {args.b_range!r}")
@@ -236,14 +234,12 @@ def _cmd_sweep(args) -> int:
     writer.writerow(["b", "verdict"])
     for start in range(0, len(bs), SWEEP_BLOCK):
         block = bs[start:start + SWEEP_BLOCK]
+        stack = block.reshape(-1, 1, 1)
         if args.check == "nonneg":
-            verdicts = nonnegative_grid(block.reshape(-1, 1, 1), reg,
-                                        args.tol).tolist()
+            verdicts = nonnegative_grid(stack, reg, args.tol)
         else:
-            verdicts = [is_homogeneous_realization(
-                RealizationSpec(CouplingMatrix([[b]]), reg, spec.family),
-                args.tol) for b in block]
-        for b, verdict in zip(block.tolist(), verdicts):
+            verdicts = is_homogeneous_realization(stack, spec.family, args.tol)
+        for b, verdict in zip(block.tolist(), verdicts.tolist()):
             writer.writerow([repr(b), "true" if verdict else "false"])
     return 0
 

@@ -9,7 +9,9 @@ nonnegative exactly when
 in the Loewner order, decided here through Hermitian eigenvalue bounds
 with norm-scaled tolerances.  A realization is homogeneous exactly when
 xi_i(t) xi_j(t) = p(t) at every sample for every index pair carrying a
-nonzero coupling entry; a homogeneous realization with p(t0) != 1 has
+nonzero coupling entry, a property of B and the symmetry family alone.
+Both checks take the matrices themselves: B with R, or B with the
+family, for one B or a stack (..., n, n) of them.  A homogeneous realization with p(t0) != 1 has
 essential spectrum reaching 0 and a spectrum invariant under
 multiplication by powers of p(t0) (the geometric spectrum ladder).
 
@@ -33,40 +35,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .symmetry import DEFAULT_TOL, SymmetryFamily, check_tol
-from .triplet import (AdmissibleMatrix, CouplingMatrix, as_matrix,
-                      frozen_matrix, hermitian_within, refuse_stacked_poles,
-                      within, within_grid)
+from .triplet import (as_matrix, checked_r, frozen_matrix, hermitian_within,
+                      refuse_stacked_poles, within, within_grid)
 
 S_MATRIX_PROVENANCE_NOTE = (
     "closed form established for the orthonormal scaling-invariant model "
     "with exponent 3/2; other configurations are formal")
-
-
-@dataclass(frozen=True)
-class RealizationSpec:
-    """Coupling matrix B plus regularization R, with an optional family
-    for homogeneity queries."""
-
-    B: CouplingMatrix
-    R: AdmissibleMatrix
-    family: SymmetryFamily | None = None
-
-    def __post_init__(self):
-        b, r = self.B, self.R
-        if not isinstance(b, CouplingMatrix):
-            b = CouplingMatrix(b)
-            object.__setattr__(self, "B", b)
-        if not isinstance(r, AdmissibleMatrix):
-            r = AdmissibleMatrix(r)
-            object.__setattr__(self, "R", r)
-        if b.n != r.n:
-            raise ValueError(f"B is {b.n}x{b.n} but R is {r.n}x{r.n}")
-        if self.family is not None and self.family.n != b.n:
-            raise ValueError("family channel count disagrees with B")
-
-    @property
-    def n(self) -> int:
-        return self.B.n
 
 
 @dataclass(frozen=True)
@@ -140,19 +114,41 @@ def _nonnegativity_grid(b: np.ndarray, r: np.ndarray, tol: float):
     return reason, det, x_min, gap_min
 
 
-def is_nonnegative_realization(spec: RealizationSpec,
+def checked_couplings(coupling, n: int | None = None,
+                      other: str = "R is {n}x{n}") -> np.ndarray:
+    """B where it enters: one matrix (``as_matrix``) or a square, finite
+    stack (..., n, n); given ``n``, B of another size raises
+    ``DimensionMismatchError``, "B is kxk but " + ``other``."""
+    b = np.asarray(coupling, dtype=complex)
+    if b.ndim <= 2:
+        b = as_matrix(b)
+    elif b.shape[-2] != b.shape[-1]:
+        raise DimensionMismatchError(
+            f"expected square couplings, got shape {b.shape}")
+    elif not np.isfinite(b).all():
+        raise ValueError("matrix entries must be finite")
+    if n is not None and b.shape[-1] != n:
+        k = b.shape[-1]
+        raise DimensionMismatchError(f"B is {k}x{k} but " + other.format(n=n))
+    return b
+
+
+def is_nonnegative_realization(coupling, reg,
                                tol: float = DEFAULT_TOL) -> NonnegativityReport:
     """Decide nonnegativity of the realization from (B, R) alone.
 
     Preconditions (not checkable here): R is the unique homogeneous
     solution for orthonormal channels independent of the form-domain
-    scale, and R is invertible.  B must be Hermitian.  This is
-    ``nonnegative_grid``'s kernel at one B, with its report.  A ``tol``
-    that is not finite and above 0 raises ``ValueError``.
+    scale, and R is invertible.  B must be Hermitian, and n x n for the
+    n x n Hermitian R.  This is ``nonnegative_grid``'s kernel at one B,
+    with its report.  A ``tol`` that is not finite and above 0 raises
+    ``ValueError``.
     """
     check_tol(tol)
-    reason, det, x_min, gap_min = _nonnegativity_grid(spec.B.matrix,
-                                                      spec.R.matrix, tol)
+    b = as_matrix(coupling)
+    r = checked_r(reg)
+    b = checked_couplings(b, r.shape[0])
+    reason, det, x_min, gap_min = _nonnegativity_grid(b, r, tol)
     reason = int(reason)
     if reason in (1, 2):
         x_min = gap_min = None
@@ -173,32 +169,31 @@ def nonnegative_grid(couplings, reg, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``ValueError`` for a ``tol`` that is not finite and above 0.
     """
     check_tol(tol)
-    r = reg if isinstance(reg, AdmissibleMatrix) else AdmissibleMatrix(reg)
-    b = np.asarray(couplings, dtype=complex)
-    if b.ndim < 2 or b.shape[-2:] != (r.n, r.n):
-        raise DimensionMismatchError(
-            f"expected square {r.n}x{r.n} couplings, got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise ValueError("matrix entries must be finite")
-    return _nonnegativity_grid(b, r.matrix, tol)[0] == 0
+    r = checked_r(reg)
+    b = checked_couplings(couplings, r.shape[0])
+    return _nonnegativity_grid(b, r, tol)[0] == 0
 
 
-def is_homogeneous_realization(spec: RealizationSpec,
-                               tol: float = DEFAULT_TOL) -> bool:
+def is_homogeneous_realization(coupling, family: SymmetryFamily,
+                               tol: float = DEFAULT_TOL) -> bool | np.ndarray:
     """True when xi_i(t) xi_j(t) = p(t) holds at every sample for every
-    index pair with |B[i, j]| > tol (vacuously true for B = 0)."""
-    if spec.family is None:
-        raise ValueError("homogeneity query needs a symmetry family")
-    fam = spec.family
-    b = spec.B.matrix
-    for i in range(spec.n):
-        for j in range(spec.n):
-            if abs(b[i, j]) <= tol:
-                continue
-            for t in fam.sample_points:
-                if abs(fam.xi[i][t] * fam.xi[j][t] - fam.p[t]) > tol:
-                    return False
-    return True
+    index pair with |B[i, j]| > tol (vacuously true for B = 0).
+
+    ``coupling`` is one n x n B, whose verdict is a bool, or a stack
+    (..., n, n), whose verdicts are an array of its leading shape, for the
+    family's n (else ``DimensionMismatchError``).  R never enters.
+    |B[i, j]| is ``np.hypot`` of its parts, the scalar modulus.  A ``tol``
+    that is not finite and above 0 raises ``ValueError``.
+    """
+    check_tol(tol)
+    b = checked_couplings(coupling, family.n, "the family has {n} channels")
+    ts = family.sample_points
+    xi = np.array([[m[t] for t in ts] for m in family.xi])
+    p = np.array([family.p[t] for t in ts])
+    broken = (abs(xi[:, None] * xi[None, :] - p) > tol).any(axis=-1)
+    coupled = np.hypot(b.real, b.imag) > tol
+    verdict = ~(coupled & broken).any(axis=(-2, -1))
+    return bool(verdict) if b.ndim == 2 else verdict
 
 
 def spectrum_ladder(lambda0: complex, p_t0: float,
@@ -250,14 +245,7 @@ def s_matrix_grid(coupling, z) -> np.ndarray:
     ``ValueError`` when any entry or any z is not finite, and
     ``PoleError`` when I + 2iz B is singular at any (B, z) pair.
     """
-    b = np.asarray(getattr(coupling, "matrix", coupling), dtype=complex)
-    if b.ndim <= 2:
-        b = as_matrix(b)
-    elif b.shape[-2] != b.shape[-1]:
-        raise DimensionMismatchError(
-            f"expected square couplings, got shape {b.shape}")
-    elif not np.isfinite(b).all():
-        raise ValueError("matrix entries must be finite")
+    b = checked_couplings(coupling)
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")

@@ -11,7 +11,9 @@ Hermitian matrix R is
 so component j of Gamma0 f is the value of the extended functional on
 f.  A coupling matrix B then carves out the realization domain through
 the boundary condition B Gamma0 f = Gamma1 f; the realization is
-self-adjoint exactly when B is Hermitian.
+self-adjoint exactly when B is Hermitian.  A realization is its
+matrices: B and R are plain arrays, checked where they enter
+(``as_matrix``, ``checked_r``); ``AdmissibleMatrix`` keeps a checked R.
 
 Sign convention: Gamma1 f = -a is adopted as is; comparisons with other
 triplet conventions must account for this sign.
@@ -235,9 +237,14 @@ def hermitian_within(mat: np.ndarray, tol: float = HERMITICITY_RTOL) -> bool:
     return within(hermitian_defect(mat), tol, float(np.linalg.norm(mat)))
 
 
-def is_hermitian(m, tol: float = HERMITICITY_RTOL) -> bool:
-    """``hermitian_within`` for any matrix input, checked by ``as_matrix``."""
-    return hermitian_within(as_matrix(m), tol)
+def checked_r(m) -> np.ndarray:
+    """R where it enters: ``as_matrix``, and Hermitian by ``hermitian_within``
+    (``ValueError`` otherwise)."""
+    mat = as_matrix(m)
+    if not hermitian_within(mat):
+        raise ValueError(
+            f"R must be Hermitian (defect {hermitian_defect(mat):.3e})")
+    return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,33 +280,7 @@ class AdmissibleMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = frozen_matrix(self.matrix)
-        if not hermitian_within(mat):
-            raise ValueError(
-                f"R must be Hermitian (defect {hermitian_defect(mat):.3e})")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class CouplingMatrix:
-    """Coefficient matrix B of the singular perturbation.
-
-    Hermiticity is a queried property, not a requirement: non-Hermitian
-    B parameterizes non-self-adjoint realizations.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", frozen_matrix(self.matrix))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+        object.__setattr__(self, "matrix", checked_r(frozen_matrix(self.matrix)))
 
 
 def to_regularized_triplet(coords: BoundaryCoordinates,
@@ -317,8 +298,7 @@ def to_regularized_triplet(coords: BoundaryCoordinates,
     return coords.b + r @ coords.a, -coords.a
 
 
-def in_realization_domain(coords: BoundaryCoordinates,
-                          coupling: CouplingMatrix | np.ndarray,
+def in_realization_domain(coords: BoundaryCoordinates, coupling: np.ndarray,
                           reg: AdmissibleMatrix | np.ndarray,
                           tol: float = 1e-10) -> bool:
     """Test the boundary condition B Gamma0 f = Gamma1 f within tol."""
@@ -330,10 +310,10 @@ def in_realization_domain(coords: BoundaryCoordinates,
     return float(np.linalg.norm(b_mat @ g0 - g1)) <= tol
 
 
-def is_selfadjoint_realization(coupling: CouplingMatrix | np.ndarray,
-                               tol: float = HERMITICITY_RTOL) -> bool:
-    """True when B is Hermitian (relative to its norm), i.e. the realization is self-adjoint."""
-    return is_hermitian(coupling, tol)
+def is_selfadjoint_realization(coupling, tol: float = HERMITICITY_RTOL) -> bool:
+    """True when B is Hermitian by ``hermitian_within`` at ``tol``, i.e. the
+    realization is self-adjoint; B is checked by ``as_matrix``."""
+    return hermitian_within(as_matrix(coupling), tol)
 
 
 def boundary_form(first: tuple[np.ndarray, np.ndarray],

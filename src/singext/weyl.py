@@ -189,7 +189,7 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
     if r.shape != (model.n, model.n):
         r = as_matrix(r)  # a scalar R for n = 1, or the refusal of a bad one
         if r.shape[0] != model.n:
-            raise ValueError("R dimension disagrees with the model")
+            raise DimensionMismatchError("R dimension disagrees with the model")
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
@@ -229,7 +229,7 @@ def weyl_m_grid(model: SpectralModel, reg, z) -> np.ndarray:
     r = as_matrix(reg)
     n = model.n
     if r.shape[0] != n:
-        raise ValueError("R dimension disagrees with the model")
+        raise DimensionMismatchError("R dimension disagrees with the model")
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise ValueError("z must be finite")
@@ -277,7 +277,7 @@ def krein_correction(m_at_z, coupling) -> np.ndarray:
     m = as_matrix(m_at_z)
     b = as_matrix(coupling)
     if b.shape != m.shape:
-        raise ValueError("B and M(z) dimensions disagree")
+        raise DimensionMismatchError("B and M(z) dimensions disagree")
     with np.errstate(over="ignore"):  # an overflow is refused as not finite
         a = b - m
     return invert_or_refuse_poles(a, "B - M(z)")
@@ -451,7 +451,7 @@ def _one_channel_root(model: SpectralModel, reg, b: float, lo: float,
     """
     r = as_matrix(reg)
     if r.shape != (1, 1):
-        raise ValueError("R dimension disagrees with the model")
+        raise DimensionMismatchError("R dimension disagrees with the model")
     r = complex(r[0, 0])
 
     def g(x: float) -> float:

@@ -39,7 +39,10 @@ ENTRY_POINTS = {
     "to_regularized_triplet": lambda m, spec, r: sx.to_regularized_triplet(COORDS, m),
     "residual_homogeneous": lambda m, spec, r: sx.residual_homogeneous(
         spec.family, spec.gram, m),
-    "CouplingMatrix": lambda m, spec, r: sx.CouplingMatrix(m),
+    "is_nonnegative_realization (B)": lambda m, spec, r: sx.is_nonnegative_realization(
+        m, r),
+    "is_homogeneous_realization (B)": lambda m, spec, r: sx.is_homogeneous_realization(
+        m, spec.family),
     "AdmissibleMatrix": lambda m, spec, r: sx.AdmissibleMatrix(m),
 }
 
@@ -60,6 +63,23 @@ def test_entry_point_rejects_bad_matrix(entry, bad, padic, padic_r):
     matrix, error, fragment = BAD_MATRICES[bad]
     with pytest.raises(error, match=fragment):
         ENTRY_POINTS[entry](matrix, padic, padic_r)
+
+
+# A matrix of the wrong size is a DimensionMismatchError everywhere, a
+# subclass of ValueError, so the CLI's exit code 2 stays
+WRONG_SIZE_ENTRY_POINTS = {
+    "weyl_m (R)": lambda spec, r: sx.weyl_m(spec.spectral, np.eye(2), 0.5j),
+    "weyl_m_grid (R)": lambda spec, r: sx.weyl_m_grid(spec.spectral, np.eye(2), [0.5j]),
+    "find_negative_eigenvalues (R, one channel)": lambda spec, r: sx.find_negative_eigenvalues(
+        spec.spectral, np.eye(2), [[0.5]], (-3.0, -0.3)),
+    "krein_correction (B)": lambda spec, r: sx.krein_correction([[1.0j]], np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_SIZE_ENTRY_POINTS)
+def test_matrix_of_the_wrong_size_is_a_dimension_mismatch(entry, padic, padic_r):
+    with pytest.raises(DimensionMismatchError, match="disagree"):
+        WRONG_SIZE_ENTRY_POINTS[entry](padic, padic_r)
 
 
 # A z that is not finite is refused where it enters, as by weyl_m; the

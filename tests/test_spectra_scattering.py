@@ -4,27 +4,27 @@ import pytest
 
 import singext as sx
 from singext.errors import DimensionMismatchError, PoleError
-from singext.spectra_scattering import (NONNEGATIVITY_REASONS, RealizationSpec,
+from singext.spectra_scattering import (NONNEGATIVITY_REASONS,
                                         S_MATRIX_PROVENANCE_NOTE,
                                         NonnegativityReport, _nonnegativity_grid)
-from singext.symmetry import SymmetryFamily
-from singext.triplet import (AdmissibleMatrix, CouplingMatrix, stacked_singular_values,
-                             within)
+from singext.symmetry import DEFAULT_TOL, SymmetryFamily
+from singext.triplet import stacked_singular_values, within
 
 
-def realization(b, r=-2.0, family=None):
-    return RealizationSpec(CouplingMatrix([[b]]), AdmissibleMatrix([[r]]), family)
+def nonnegative(b, r=-2.0, tol=DEFAULT_TOL):
+    """The one-channel criterion for B = [[b]] and R = [[r]]."""
+    return sx.is_nonnegative_realization([[b]], [[r]], tol)
 
 
 def test_nonnegative_for_zero_coupling():
-    report = sx.is_nonnegative_realization(realization(0.0))
+    report = nonnegative(0.0)
     assert report
     assert report.reason == ""
 
 
 def test_det_clause_fails_at_half():
     # with R = -2 the matrix BR + I is singular exactly at b = 1/2
-    report = sx.is_nonnegative_realization(realization(0.5))
+    report = nonnegative(0.5)
     assert not report
     assert "det" in report.reason
 
@@ -33,33 +33,31 @@ def test_scalar_criterion_matches_hand_rule():
     # for R = -2 the Loewner sandwich 0 <= -b/(1-2b) <= 1/2 holds exactly
     # for b <= 0 (all positive b place an eigenvalue below the spectrum)
     for b in (-5.0, -1.0, -1e-3, 0.0):
-        assert sx.is_nonnegative_realization(realization(b))
+        assert nonnegative(b)
     for b in (1e-3, 0.3, 0.7, 5.0):
-        assert not sx.is_nonnegative_realization(realization(b))
+        assert not nonnegative(b)
 
 
 def test_criterion_agrees_with_eigenvalue_scan(scaling, scaling_r):
     for b in (-2.0, -0.5, 0.2, 1.0, 3.0):
-        verdict = bool(sx.is_nonnegative_realization(realization(b)))
+        verdict = bool(nonnegative(b))
         roots = sx.find_negative_eigenvalues(scaling.spectral, scaling_r,
                                              [[b]], (-60.0, -1e-3))
         assert verdict == (len(roots) == 0)
 
 
 def test_nonnegativity_requires_hermitian_coupling():
-    spec = RealizationSpec(CouplingMatrix([[1.0j]]), AdmissibleMatrix([[-2.0]]))
     with pytest.raises(ValueError):
-        sx.is_nonnegative_realization(spec)
+        sx.is_nonnegative_realization([[1.0j]], [[-2.0]])
 
 
 def test_nonnegativity_requires_invertible_r():
-    spec = RealizationSpec(CouplingMatrix([[1.0]]), AdmissibleMatrix([[0.0]]))
     with pytest.raises(ValueError):
-        sx.is_nonnegative_realization(spec)
+        sx.is_nonnegative_realization([[1.0]], [[0.0]])
 
 
 def test_report_is_jsonable():
-    report = sx.is_nonnegative_realization(realization(-1.0))
+    report = nonnegative(-1.0)
     assert isinstance(report, NonnegativityReport)
     blob = report.to_json()
     assert blob["nonnegative"] is True
@@ -120,12 +118,10 @@ def _one_coupling_reference(b, r, tol):
 def test_stacked_kernel_is_the_one_coupling_report_bit_for_bit():
     reasons = set()
     for stack, r, tol in _stack_cases():
-        reg = AdmissibleMatrix(r)
         grid = _nonnegativity_grid(stack.astype(complex), r.astype(complex), tol)
-        verdicts = sx.nonnegative_grid(stack, reg, tol)
+        verdicts = sx.nonnegative_grid(stack, r, tol)
         for i, b in enumerate(stack):
-            one = sx.is_nonnegative_realization(
-                RealizationSpec(CouplingMatrix(b), reg), tol)
+            one = sx.is_nonnegative_realization(b, r, tol)
             ref = _one_coupling_reference(b.astype(complex), r.astype(complex), tol)
             assert repr(one) == repr(ref)
             reason, det, x_min, gap_min = (field[i] for field in grid)
@@ -142,7 +138,7 @@ def test_stacked_kernel_is_the_one_coupling_report_bit_for_bit():
 
 
 def test_stacked_kernel_refuses_what_the_one_coupling_call_refuses():
-    reg = AdmissibleMatrix([[-2.0]])
+    reg = [[-2.0]]
     with pytest.raises(ValueError, match="Hermitian B"):
         sx.nonnegative_grid([[[-1.0]], [[1.0j]]], reg)
     with pytest.raises(ValueError, match="invertible"):
@@ -155,19 +151,14 @@ def test_stacked_kernel_refuses_what_the_one_coupling_call_refuses():
 # homogeneity ---------------------------------------------------------------
 
 def test_padic_homogeneous_only_at_zero(padic, padic_r):
-    reg = AdmissibleMatrix(padic_r)
     fam = padic.family
-    assert sx.is_homogeneous_realization(
-        RealizationSpec(CouplingMatrix([[0.0]]), reg, fam))
+    assert sx.is_homogeneous_realization([[0.0]], fam)
     for b in (-0.7, 0.7, 3.0):
-        assert not sx.is_homogeneous_realization(
-            RealizationSpec(CouplingMatrix([[b]]), reg, fam))
+        assert not sx.is_homogeneous_realization([[b]], fam)
 
 
 def test_homogeneous_vacuously_true_for_zero_matrix(one_dim):
-    reg = AdmissibleMatrix(np.diag([0.5, -0.5]))
-    spec = RealizationSpec(CouplingMatrix(np.zeros((2, 2))), reg, one_dim.family)
-    assert sx.is_homogeneous_realization(spec)
+    assert sx.is_homogeneous_realization(np.zeros((2, 2)), one_dim.family)
 
 
 def test_homogeneous_offdiagonal_coupling_only():
@@ -178,17 +169,118 @@ def test_homogeneous_offdiagonal_coupling_only():
                          {t: t ** -2.0 for t in ts},
                          [{t: t ** -0.5 for t in ts},
                           {t: t ** -1.5 for t in ts}])
-    reg = AdmissibleMatrix(np.diag([0.5, -0.5]))
-    off = RealizationSpec(CouplingMatrix([[0.0, 1.0], [1.0, 0.0]]), reg, fam)
-    assert sx.is_homogeneous_realization(off)
-    mixed = RealizationSpec(CouplingMatrix([[0.5, 1.0], [1.0, 0.0]]), reg, fam)
-    assert not sx.is_homogeneous_realization(mixed)
+    assert sx.is_homogeneous_realization([[0.0, 1.0], [1.0, 0.0]], fam)
+    assert not sx.is_homogeneous_realization([[0.5, 1.0], [1.0, 0.0]], fam)
 
 
-def test_homogeneity_needs_family():
-    spec = RealizationSpec(CouplingMatrix([[1.0]]), AdmissibleMatrix([[-2.0]]))
-    with pytest.raises(ValueError):
-        sx.is_homogeneous_realization(spec)
+def test_homogeneity_needs_family(padic):
+    # the family is a required argument, and its channel count is B's
+    with pytest.raises(TypeError):
+        sx.is_homogeneous_realization([[1.0]])
+    with pytest.raises(DimensionMismatchError, match="B is 2x2 but the family has 1 channels"):
+        sx.is_homogeneous_realization(np.eye(2), padic.family)
+
+
+def homogeneous_by_definition(b, family, tol):
+    """The rule of the docstring, entry by entry: False when some index
+    pair with |B[i, j]| > tol has a sample where xi_i xi_j != p."""
+    for i in range(family.n):
+        for j in range(family.n):
+            if abs(complex(b[i, j])) <= tol:
+                continue
+            for t in family.sample_points:
+                if abs(family.xi[i][t] * family.xi[j][t] - family.p[t]) > tol:
+                    return False
+    return True
+
+
+def near_homogeneous_family():
+    """Three channels under p = t^-2: the pair (0, 1) is homogeneous, and
+    xi_2^2 misses p by about 1e-6, inside the range of the swept tol."""
+    ts = (2.0, 0.5)
+    return SymmetryFamily(ts, {2.0: 0.5, 0.5: 2.0}, {t: t ** -2.0 for t in ts},
+                          [{t: t ** -0.5 for t in ts}, {t: t ** -1.5 for t in ts},
+                           {t: t ** -1.0 * (1.0 + 1e-6 * (t - 1.0)) for t in ts}])
+
+
+HOMOGENEITY_FAMILIES = {
+    "one_dim": lambda: sx.build_one_dim_model().family,
+    "point_d1": lambda: sx.build_point_interaction(1).family,
+    "point_d2": lambda: sx.build_point_interaction(2).family,
+    "point_d3": lambda: sx.build_point_interaction(3).family,
+    "padic_2_1.5": lambda: sx.build_padic_model(2, 1.5).family,
+    "padic_3_0.75": lambda: sx.build_padic_model(3, 0.75).family,
+    "scaling_n1": lambda: sx.build_scaling_invariant_3d(1.5).family,
+    "scaling_n3": lambda: sx.build_scaling_invariant_3d(1.5, n=3).family,
+    "near_homogeneous": near_homogeneous_family,
+}
+
+
+def random_couplings(rng, n, tol, count):
+    """count seeded B (count, n, n).  Each entry is one of: 0, +-1e-11,
+    +-tol, tol at a random phase (a modulus within an ulp of tol, where
+    numpy's array modulus can differ from the scalar one), tol (1 +- 1e-9)
+    at a random phase, or a normal draw at a random scale."""
+    shape = (count, n, n)
+    phase = np.exp(2j * np.pi * rng.uniform(size=shape))
+    normal = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+              * rng.choice([0.0, 1.0], size=shape))
+    normal *= 10.0 ** rng.uniform(-14, 1, size=(count, 1, 1))
+    choices = [0.0, 1e-11, -1e-11, tol * rng.choice([-1.0, 1.0], size=shape),
+               tol * phase, tol * (1.0 + rng.choice([-1e-9, 1e-9], size=shape)) * phase,
+               normal]
+    return np.choose(rng.integers(0, len(choices), size=shape), choices)
+
+
+@pytest.mark.parametrize("name", HOMOGENEITY_FAMILIES)
+def test_homogeneity_is_the_entry_rule_over_a_seeded_sweep(name):
+    family = HOMOGENEITY_FAMILIES[name]()
+    rng = np.random.default_rng([2800, list(HOMOGENEITY_FAMILIES).index(name)])
+    verdicts = []
+    for _ in range(500):
+        tol = 10.0 ** rng.uniform(-12, -2)
+        b = random_couplings(rng, family.n, tol, 1)[0]
+        got = sx.is_homogeneous_realization(b, family, tol)
+        assert type(got) is bool
+        assert got == homogeneous_by_definition(b, family, tol), (b, tol)
+        verdicts.append(got)
+    # every family but point d = 2 (xi^2 = p) sees both verdicts
+    assert set(verdicts) == ({True} if name == "point_d2" else {True, False})
+
+
+@pytest.mark.parametrize("name", HOMOGENEITY_FAMILIES)
+@pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-6, 1e-2])
+def test_stacked_homogeneity_is_the_verdict_of_each_b(name, tol):
+    family = HOMOGENEITY_FAMILIES[name]()
+    n = family.n
+    rng = np.random.default_rng([2801, list(HOMOGENEITY_FAMILIES).index(name)])
+    stack = random_couplings(rng, n, tol, 24)
+    one_by_one = [sx.is_homogeneous_realization(b, family, tol) for b in stack]
+    flat = sx.is_homogeneous_realization(stack, family, tol)
+    assert flat.shape == (24,) and flat.dtype == bool
+    assert flat.tolist() == one_by_one
+    grid = sx.is_homogeneous_realization(stack.reshape(4, 6, n, n), family, tol)
+    assert grid.shape == (4, 6)
+    assert grid.ravel().tolist() == one_by_one
+    empty = sx.is_homogeneous_realization(np.zeros((0, n, n)), family, tol)
+    assert empty.shape == (0,)
+
+
+def test_homogeneity_refuses_a_bad_b_or_tol(padic):
+    fam = padic.family
+    with pytest.raises(DimensionMismatchError, match="the family has 1 channels"):
+        sx.is_homogeneous_realization(np.zeros((3, 2, 2)), fam)
+    with pytest.raises(DimensionMismatchError, match="square"):
+        sx.is_homogeneous_realization(np.zeros((3, 1, 2)), fam)
+    with pytest.raises(ValueError, match="finite"):
+        sx.is_homogeneous_realization([[np.nan]], fam)
+    bs = np.zeros((3, 1, 1))
+    bs[1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        sx.is_homogeneous_realization(bs, fam)
+    for tol in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite tol above 0"):
+            sx.is_homogeneous_realization([[0.0]], fam, tol)
 
 
 # spectrum ladder -----------------------------------------------------------
@@ -282,9 +374,9 @@ def test_smatrix_note_mentions_model_scope():
 
 
 def test_realization_spec_validates_dimensions():
-    with pytest.raises(ValueError):
-        RealizationSpec(CouplingMatrix(np.zeros((2, 2))),
-                        AdmissibleMatrix([[1.0]]))
+    # a realization is the pair (B, R); B of another size than R is refused
+    with pytest.raises(DimensionMismatchError, match="B is 2x2 but R is 1x1"):
+        sx.is_nonnegative_realization(np.zeros((2, 2)), [[1.0]])
 
 
 # scattering matrix on a z grid ----------------------------------------------
@@ -435,6 +527,6 @@ def test_nonnegativity_refuses_a_meaningless_tol(tol):
     # NaN and -1 were reported as a B that is not Hermitian, inf as an R
     # that is not invertible
     with pytest.raises(ValueError, match="finite tol above 0"):
-        sx.is_nonnegative_realization(realization(-1.0), tol)
+        nonnegative(-1.0, tol=tol)
     with pytest.raises(ValueError, match="finite tol above 0"):
         sx.nonnegative_grid([[[-1.0]]], [[-2.0]], tol)

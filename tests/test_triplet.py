@@ -6,8 +6,7 @@ import pytest
 import singext as sx
 from singext import triplet
 from singext.errors import DimensionMismatchError, PoleError
-from singext.triplet import (AdmissibleMatrix, BoundaryCoordinates,
-                             CouplingMatrix, boundary_form,
+from singext.triplet import (AdmissibleMatrix, BoundaryCoordinates, boundary_form,
                              invert_or_refuse_poles, refuse_stacked_poles)
 
 R_ONE_DIM = np.diag([0.5, -0.5])
@@ -137,9 +136,9 @@ def test_wrapped_arrays_are_read_only():
     coords = BoundaryCoordinates([1.0], [2.0])
     with pytest.raises(ValueError):
         coords.a[0] = 5.0
-    coupling = CouplingMatrix([[1.0]])
+    reg = AdmissibleMatrix([[1.0]])
     with pytest.raises(ValueError):
-        coupling.matrix[0, 0] = 2.0
+        reg.matrix[0, 0] = 2.0
 
 
 # ---------------------------------------------------------------------------

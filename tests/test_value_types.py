@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import singext as sx
-from singext.triplet import HERMITICITY_RTOL, frozen_matrix, is_hermitian, within
+from singext.triplet import HERMITICITY_RTOL, frozen_matrix, within
 
 
 def nearly_hermitian(rel_defect):
@@ -29,8 +29,6 @@ def instances(one_dim, padic, padic_r, scaling):
         "WeylEvaluation": sx.weyl_m(padic.spectral, padic_r, -1.0),
         "BoundaryCoordinates": sx.BoundaryCoordinates([1.0, 0.0], [0.5, 2.0]),
         "AdmissibleMatrix": sx.AdmissibleMatrix(sol.matrix),
-        "CouplingMatrix": sx.CouplingMatrix([[0.0, 1.0], [2.0, 0.0]]),
-        "RealizationSpec": sx.RealizationSpec([[1.0]], [[-2.0]]),
         "SMatrix": sx.s_matrix([[0.5]], 1.0),
         "ModelSpec": scaling,
     }
@@ -38,8 +36,7 @@ def instances(one_dim, padic, padic_r, scaling):
 
 TYPE_NAMES = ["SymmetryFamily", "GramFunction", "UniqueSolution",
               "InfiniteSolutions", "SpectralModel", "WeylEvaluation",
-              "BoundaryCoordinates", "AdmissibleMatrix", "CouplingMatrix",
-              "RealizationSpec", "SMatrix", "ModelSpec"]
+              "BoundaryCoordinates", "AdmissibleMatrix", "SMatrix", "ModelSpec"]
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
@@ -54,7 +51,6 @@ def test_fields_are_frozen(instances, name):
 def test_stored_arrays_are_read_only(instances):
     arrays = [
         instances["AdmissibleMatrix"].matrix,
-        instances["CouplingMatrix"].matrix,
         instances["UniqueSolution"].matrix,
         instances["InfiniteSolutions"].fixed_entries,
         *instances["GramFunction"].entries.values(),
@@ -70,12 +66,6 @@ def test_stored_arrays_are_read_only(instances):
         assert arr.flags.writeable is False
         with pytest.raises(ValueError):
             arr[0, ...] = 0.0
-
-
-def test_realization_spec_coerces_matrices(instances):
-    spec = instances["RealizationSpec"]
-    assert isinstance(spec.B, sx.CouplingMatrix)
-    assert isinstance(spec.R, sx.AdmissibleMatrix)
 
 
 def test_model_spec_reads_membership_from_spectral_model(one_dim, scaling):
@@ -97,7 +87,6 @@ def test_admissible_matrix_has_no_tolerance_parameter():
 
 def test_hermiticity_rule_accepts_small_defect_everywhere(one_dim):
     b = nearly_hermitian(0.5 * HERMITICITY_RTOL)
-    assert is_hermitian(b)
     sx.AdmissibleMatrix(b)
     assert sx.is_selfadjoint_realization(b)
     r = sx.solve_homogeneous_R(one_dim.family, one_dim.gram).matrix
@@ -107,7 +96,6 @@ def test_hermiticity_rule_accepts_small_defect_everywhere(one_dim):
 
 def test_hermiticity_rule_rejects_larger_defect_everywhere(one_dim):
     b = nearly_hermitian(5 * HERMITICITY_RTOL)
-    assert not is_hermitian(b)
     with pytest.raises(ValueError, match="Hermitian"):
         sx.AdmissibleMatrix(b)
     assert not sx.is_selfadjoint_realization(b)
@@ -131,7 +119,7 @@ def test_closed_form_residual_matches_closed_form(padic, padic_r):
 
 
 def test_building_from_a_complex_array_copies_it():
-    for build in (sx.CouplingMatrix, sx.AdmissibleMatrix,
+    for build in (sx.AdmissibleMatrix,
                   lambda m: sx.SMatrix(0.5, m, 0.0, 1.0, None, None)):
         a = np.array([[1 + 0j, 2], [2, 3]])
         stored = build(a).matrix
