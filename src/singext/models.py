@@ -186,9 +186,11 @@ def _one_dim_m_hat(z) -> np.ndarray:
     """Mhat = diag((1-u)/(2u), (1-u)/2), u = sqrt(-z), at a complex z or at
     every point of an array of z; real z > 0 on the upper rim of the cut,
     and ``PoleError`` at z = 0, where the delta channel's entry diverges."""
-    # + 0j turns an imaginary part -0.0 into +0.0, as in ``radial_m_hat``
-    u = np.sqrt(-(np.asarray(z, dtype=complex) + 0j))
-    if not u.all():
+    # + 0j turns an imaginary part -0.0 into +0.0, as in ``radial_m_hat``;
+    # [()] makes one z a numpy scalar, whose arithmetic skips the ufunc
+    # set-up, and whose truth value is cheaper than .all(); same bits
+    u = np.sqrt(-(np.asarray(z, dtype=complex)[()] + 0j))
+    if not (u.all() if u.ndim else u):
         raise PoleError("Mhat of the delta channel diverges at z = 0")
     out = np.zeros(u.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = (1.0 - u) / (2.0 * u)
@@ -309,10 +311,11 @@ def radial_resolvent_closed(nu: float, z: complex) -> complex:
     return complex(half_k * num / (x * x))
 
 
+@functools.lru_cache(maxsize=32)
 def _radial_constants(nu: float) -> tuple[float, float]:
     """s = nu - 1 and K/2 = pi / (2 sin(pi nu)) (0 at nu = 1), the sine's
     argument reduced to [-pi/2, pi/2] so that K keeps its relative accuracy
-    as nu nears 1 or 2."""
+    as nu nears 1 or 2; computed once per nu."""
     if not 0.0 < nu < 2.0:
         raise ValueError(f"the integral converges only for 0 < nu < 2, got {nu!r}")
     s = nu - 1.0
@@ -439,7 +442,7 @@ def build_point_interaction(d: int) -> ModelSpec:
     nu, prefactor = d / 2.0, (2.0 * math.pi) ** (-d) * SPHERE_SURFACE[d]
     spectral = SpectralModel(
         n=1,
-        m_hat=lambda z: np.array([[prefactor * radial_m_hat(nu, z)]]),
+        m_hat=lambda z: np.array(prefactor * radial_m_hat(nu, z), ndmin=2),
         overlap=[[point_interaction_gram(d, 1.0)]],
         psi_in_Hminus1=(d == 1,),
         m_hat_grid=lambda z: (prefactor * radial_m_hat_grid(nu, z))[..., None, None],
@@ -521,6 +524,22 @@ CLOSED_SERIES = (2, 1.0, 1e17)   # p^-N: the closed Weyl series
 M_HAT_SERIES = (4, 2.0, 1e20)    # p^-N / (lambda_N + 1): Mhat(z) / (z + 1)
 
 
+@functools.lru_cache(maxsize=32)
+def _padic_window(p: int, alpha: float, series) -> tuple:
+    """What ``_padic_series`` needs that does not depend on z, built once
+    per (p, alpha, series): the row lambda_N, read-only complex copies of
+    it and of w_N, so that no row is promoted at each z, the rate a, alpha
+    log p, the scales the window reaches below min(n_z, 0) and above
+    max(n_z, 0), and the denominators of the two geometric tail bounds."""
+    row, k, reach = series
+    table, a, log_p = _padic_scales(p, alpha), k * alpha - 1.0, math.log(p)
+    rows = table[[0, row]].astype(complex)
+    rows.setflags(write=False)
+    span = math.log(reach) / log_p  # the scales over which p^-N falls by reach
+    return (table[0], rows[0], rows[1], a, alpha * log_p, math.ceil(span / a) + 2,
+            math.ceil(span) + 2, 1.0 - p ** -a, 1.0 - p ** (alpha - 1.0))
+
+
 def _padic_series(p: int, alpha: float, z: complex, series) -> complex:
     """(p - 1) sum_N w_N / (lambda_N - z), w_N the scale-table row of
     ``series`` (``E_SERIES``, ``CLOSED_SERIES`` or ``M_HAT_SERIES``).
@@ -531,28 +550,26 @@ def _padic_series(p: int, alpha: float, z: complex, series) -> complex:
     ``ConvergenceError`` unless its edge terms and the geometric bounds
     of both tails stay within ``SERIES_RTOL`` of it.
     """
-    row, k, reach = series
-    table = _padic_scales(p, alpha)
-    lam, w, a = table[0], table[row], k * alpha - 1.0
-    half, log_p, size = len(lam) // 2, math.log(p), abs(z)
+    lam, lam_c, w_c, a, alpha_log_p, below, above, den_a, den_hi = _padic_window(
+        p, alpha, series)
+    half, size = len(lam) // 2, abs(z)
     n_z = half if not size else min(half, max(-half, math.ceil(
-        1.0 - (math.log(size) - math.log(2.0)) / (alpha * log_p))))
-    span = math.log(reach) / log_p  # the scales over which p^-N falls by reach
-    lo = max(-half, min(n_z, 0) - math.ceil(span / a) - 2)
-    hi = min(half, max(n_z, 0) + math.ceil(span) + 2)
-    lam, w = lam[lo + half:hi + half + 1], w[lo + half:hi + half + 1]
-    if not z.imag and z.real > 0.0 and z.real in lam:
+        1.0 - (math.log(size) - math.log(2.0)) / alpha_log_p)))
+    lo = max(-half, min(n_z, 0) - below)
+    hi = min(half, max(n_z, 0) + above)
+    window = slice(lo + half, hi + half + 1)
+    if not z.imag and z.real > 0.0 and z.real in lam[window]:
         raise PoleError(f"z = {z.real!r} is an eigenvalue lambda_N of A0")
-    terms = w / (lam - z)
+    terms = w_c[window] / (lam_c[window] - z)
     total = (p - 1) * complex(terms.sum())
     tail = math.inf  # above the window w_N / |lambda_N - z| <= 2 p^-N / |z|
-    if lam[-1] <= 0.5 * size:
+    if lam[hi + half] <= 0.5 * size:
         tail = 2.0 * p ** -hi / ((p - 1) * size)
     elif z.real <= 0.0 and alpha < 1.0:  # w_N / lambda_N <= p^((alpha-1) N - alpha)
-        tail = p ** ((alpha - 1.0) * (hi + 1) - alpha) / (1.0 - p ** (alpha - 1.0))
+        tail = p ** ((alpha - 1.0) * (hi + 1) - alpha) / den_hi
     # below the window w_N / |lambda_N - z| <= 2 w_N / lambda_N <= 2 p^(a (N-1) - 1)
-    tail += (2.0 * p ** (a * (lo - 2) - 1.0) / (1.0 - p ** -a)
-             if lam[0] >= 2.0 * size else math.inf)
+    tail += (2.0 * p ** (a * (lo - 2) - 1.0) / den_a
+             if lam[lo + half] >= 2.0 * size else math.inf)
     bound = (p - 1) * (abs(terms[0]) + abs(terms[-1]) + tail)
     if not bound <= SERIES_RTOL * abs(total):
         raise ConvergenceError(f"p-adic series at z = {z!r} not within {SERIES_RTOL:g}")
@@ -607,7 +624,7 @@ def build_padic_model(p: int, alpha: float) -> ModelSpec:
         {float(p) ** m: [[padic_gram(p, alpha, m)]] for m in GEOMETRIC_EXPONENTS})
     spectral = SpectralModel(
         n=1,
-        m_hat=lambda z: np.array([[padic_m_hat(p, alpha, z)]]),
+        m_hat=lambda z: np.array(padic_m_hat(p, alpha, z), ndmin=2),
         overlap=[[padic_gram(p, alpha, 0)]],
         psi_in_Hminus1=(alpha > 1.0,),
         closed_form_M=padic_closed_form_m(p, alpha) if alpha > 1.0 else None,
@@ -702,9 +719,10 @@ def build_scaling_invariant_3d(alpha: float, m_gram=None,
         {t: _scaling_gram(alpha, t) * m_mat for t in family.sample_points})
     overlap = d_val * m_mat
     orthonormal = bool(np.linalg.norm(overlap - np.eye(n)) <= 1e-10)
+    m_complex = m_mat.astype(complex)  # built once, not promoted at each z
     spectral = SpectralModel(
         n=n,
-        m_hat=lambda z: radial_m_hat(alpha, z) * m_mat,
+        m_hat=lambda z: radial_m_hat(alpha, z) * m_complex,
         overlap=overlap,
         psi_in_Hminus1=(False,) * n,
         m_hat_grid=lambda z: radial_m_hat_grid(alpha, z)[..., None, None] * m_mat,

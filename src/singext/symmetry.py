@@ -60,6 +60,9 @@ class SymmetryFamily:
         Homogeneity factor of the unperturbed operator at each sample.
     xi : sequence of mappings t -> float
         Per-channel invariance factors of the singular elements.
+
+    Every sample point, and every value at one, must be finite
+    (``ValueError``): a NaN would fail no comparison of the checks.
     """
 
     sample_points: tuple[float, ...]
@@ -78,12 +81,14 @@ class SymmetryFamily:
         if not self.xi:
             raise ValueError("at least one channel is required")
         for t in pts:
-            for name, mapping in (("conjugate", self.conjugate), ("p", self.p)):
+            if not math.isfinite(t):
+                raise ValueError(f"sample point {t!r} is not finite")
+            for name, mapping in (("conjugate", self.conjugate), ("p", self.p),
+                                  *((f"xi[{j}]", m) for j, m in enumerate(self.xi))):
                 if t not in mapping:
                     raise KeyError(f"{name} is not defined at t={t!r}")
-            for j, m in enumerate(self.xi):
-                if t not in m:
-                    raise KeyError(f"xi[{j}] is not defined at t={t!r}")
+                if not math.isfinite(mapping[t]):
+                    raise ValueError(f"{name} is not finite at t={t!r}: {mapping[t]!r}")
 
     @property
     def n(self) -> int:

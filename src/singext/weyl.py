@@ -150,9 +150,7 @@ class WeylEvaluation:
                closed_form_M: Callable[[complex], np.ndarray] | None):
         """An evaluation of a fresh, checked, read-only matrix, stored as is."""
         ev = object.__new__(cls)
-        object.__setattr__(ev, "z", z)
-        object.__setattr__(ev, "matrix", matrix)
-        object.__setattr__(ev, "closed_form_M", closed_form_M)
+        ev.__dict__.update(z=z, matrix=matrix, closed_form_M=closed_form_M)
         return ev
 
     @property
@@ -199,7 +197,8 @@ def weyl_m(model: SpectralModel, reg, z: complex) -> WeylEvaluation:
         if m_hat.shape != (model.n, model.n):
             raise ValueError("Mhat(z) has the wrong dimension")
     if model.n == 1:
-        m = np.array([[negated_reciprocal(r[0, 0] + m_hat[0, 0], "R + Mhat(z)")]])
+        m = np.empty((1, 1), dtype=complex)
+        m[0, 0] = negated_reciprocal(r[0, 0] + m_hat[0, 0], "R + Mhat(z)")
     else:
         m = invert_or_refuse_poles(r + m_hat, "R + Mhat(z)")  # checks finiteness
         np.negative(m, out=m)

@@ -124,6 +124,23 @@ def test_array_kernel_is_the_scalar_kernel_to_rounding(name):
                                        atol=1e-15 * np.abs(want).max(), err_msg=str(zk))
 
 
+def test_one_dim_kernel_at_one_z_is_its_grid_value_bit_for_bit():
+    # one z takes numpy's scalar arithmetic, a grid its array loops; both
+    # give the same bits, the signs of zero parts included
+    rng = np.random.default_rng([29, 1])
+    size = 10.0 ** rng.uniform(-6.0, 8.0, 200)
+    z = np.concatenate([size * np.exp(1j * rng.uniform(-np.pi, np.pi, 200)), -size, size,
+                        ARRAY_Z, [complex(2.0, -0.0), complex(-2.0, -0.0), -0.25]])
+    grid = models._one_dim_m_hat(z)
+    for zk, want in zip(z.tolist(), grid):
+        for one in (zk, np.complex128(zk), np.array(zk)):
+            got = models._one_dim_m_hat(one)
+            assert got.shape == (2, 2) and got.tobytes() == want.tobytes(), zk
+    for zero in (0.0, 0j, complex(-0.0, -0.0), np.array(0j)):
+        with pytest.raises(PoleError):
+            models._one_dim_m_hat(zero)
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_m_hat_is_conjugate_symmetric_bit_for_bit(name):
     spectral, _ = backend(name)

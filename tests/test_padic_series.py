@@ -217,6 +217,61 @@ def test_window_stays_in_the_normal_range(p, alpha):
 
 
 # ---------------------------------------------------------------------------
+# The window of the z-series, built once per (p, alpha, series), against
+# the rule of ``_padic_series``'s docstring
+# ---------------------------------------------------------------------------
+
+SERIES = {"e": models.E_SERIES, "closed": models.CLOSED_SERIES, "m_hat": models.M_HAT_SERIES}
+
+
+def _docstring_sum(p, alpha, z, series):
+    """(p - 1) sum_N w_N / (lambda_N - z) over the window of the docstring,
+    on the float rows of the scale table: n_z the first scale with
+    lambda_N <= |z|/2 (the last scale where there is none), and the
+    window the series' reach past scales 0 and n_z, span = log(reach) /
+    log p scales above and span / a below, two more scales each way."""
+    row, k, reach = series
+    table = models._padic_scales(p, alpha)
+    lam, w = table[0], table[row]
+    half, a, size = len(lam) // 2, k * alpha - 1.0, abs(z)
+    n_z = next((n for n in range(-half, half + 1) if lam[n + half] <= size / 2.0), half)
+    span = math.log(reach) / math.log(p)
+    lo = max(-half, min(n_z, 0) - math.ceil(span / a) - 2)
+    hi = min(half, max(n_z, 0) + math.ceil(span) + 2)
+    window = slice(lo + half, hi + half + 1)
+    return (p - 1) * complex((w[window] / (lam[window] - z)).sum())
+
+
+def _seeded_z(seed):
+    """|z| log-uniform in [1e-6, 1e8]: nonreal, on the negative and on the
+    positive axis."""
+    rng = np.random.default_rng([seed, 29])
+    size = 10.0 ** rng.uniform(-6.0, 8.0, 60)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, 60))
+    return [complex(x) for x in np.concatenate([size * phase, -size, size])]
+
+
+# The closed series converges only for alpha > 1 (``padic_closed_form_m``
+# refuses the rest), so (3, 3/4) takes the other two.
+@pytest.mark.parametrize("p, alpha, name", [
+    (p, alpha, name) for p, alpha in [(2, 1.5), (3, 0.75), (5, 2.5)]
+    for name in sorted(SERIES) if alpha > 1.0 or name != "closed"])
+def test_cached_window_sums_the_docstring_window_bit_for_bit(p, alpha, name):
+    series, summed = SERIES[name], 0
+    for z in _seeded_z(p):
+        try:
+            got = models._padic_series(p, alpha, z, series)
+        except ConvergenceError:
+            continue
+        summed += 1
+        assert _bits(got) == _bits(_docstring_sum(p, alpha, z, series)), z
+    assert summed >= 170, summed
+    window = models._padic_window(p, alpha, series)
+    assert not any(x.flags.writeable for x in window if isinstance(x, np.ndarray))
+    assert models._padic_window.cache_info().maxsize == 32
+
+
+# ---------------------------------------------------------------------------
 # weyl_m_grid on the real axis: the scalar series, looped, bit for bit
 # ---------------------------------------------------------------------------
 

@@ -89,6 +89,38 @@ def test_zero_factors_rejected():
             samples, conj, {t: 1.0 for t in samples}, [{2.0: 0.0, 0.5: 1.0}]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("field", ["sample", "conjugate", "p", "xi"])
+def test_non_finite_data_rejected(field, bad):
+    # a NaN fails every comparison: a family holding one would pass
+    # validate_family and make is_homogeneous_realization true for any B
+    samples = [2.0, 0.5]
+    data = {"conjugate": {2.0: 0.5, 0.5: 2.0}, "p": {2.0: 0.25, 0.5: 4.0},
+            "xi": {2.0: 2.0 ** -1.5, 0.5: 0.5 ** -1.5}}
+    if field == "sample":
+        # defined everywhere, so that only the point itself is at fault
+        samples.append(bad)
+        data["conjugate"][bad], data["p"][bad], data["xi"][bad] = bad, 1.0, 1.0
+    else:
+        data[field][2.0] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        SymmetryFamily(samples, data["conjugate"], data["p"], [data["xi"]])
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "OneDimDeltaDeltaPrime"},
+    *({"kind": "PointInteractionRd", "d": d} for d in (1, 2, 3)),
+    *({"kind": "PAdicVladimirov", "p": p, "alpha": a}
+      for p, a in ((2, 1.5), (3, 0.75), (2, 1.0), (5, 2.5))),
+    {"kind": "ScalingInvariant3D", "alpha": 1.5},
+    {"kind": "ScalingInvariant3D", "alpha": 1.25, "n": 3},
+], ids=lambda obj: "-".join(map(str, obj.values())))
+def test_built_in_models_have_finite_symmetry_data(obj):
+    fam = sx.model_from_json(obj).family
+    values = [fam.conjugate, fam.p, *fam.xi]
+    assert all(np.isfinite([t] + [m[t] for m in values]).all() for t in fam.sample_points)
+
+
 def test_validation_order_independent_and_idempotent():
     fam = scaling_family(-3.0)
     permuted = SymmetryFamily(tuple(reversed(fam.sample_points)),
